@@ -1,8 +1,7 @@
 """Fault-plane chaos benchmark (shared measurement module).
 
-Used by ``benchmarks/test_chaos_smoke.py`` (tier-1, writes
-``BENCH_chaos.json``) and by ``benchmarks/compare.py --check`` (the CI
-regression gate).  Two measurements:
+Used by ``benchmarks/test_chaos_smoke.py`` (tier-1) and by
+``benchmarks/compare.py`` (``BENCH_chaos.json``).  Two measurements:
 
 * **availability under the standard fault soup** — a 2-group
   thread-mode cluster under sustained routed ingest + mirror-read load
@@ -39,8 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "src"))
+import benchkit  # puts src/ on sys.path
 
 from repro.core.config import DMFSGDConfig  # noqa: E402
 from repro.serving import faults  # noqa: E402
@@ -66,13 +64,6 @@ SOUP_RUN_S = 3.0
 FLAP_IDLE_STEPS = 6
 STEP_S = 0.1
 WARMUP_ANSWERS = 50
-SUMMARY_PATH = REPO_ROOT / "BENCH_chaos.json"
-
-#: acceptance floor: mirror reads answered through the whole fault soup.
-#: Machine-independent — reads are in-process snapshot gathers against
-#: the last mirror and must never observe a delayed pull, an open
-#: breaker, a down group or a torn checkpoint.
-CHAOS_MIN_AVAILABILITY = 0.999
 
 #: the standard fault soup (the plan ``--chaos-plan`` would load).  The
 #: checkpoint rule skips the first write (the good baseline the rotation
@@ -400,17 +391,13 @@ def bench_overload_shedding() -> dict:
 def run() -> dict:
     import tempfile
 
-    cores = os.cpu_count() or 1
     result = {
         "nodes": NODES,
         "rank": RANK,
         "groups": GROUPS,
         "group_shards": GROUP_SHARDS,
         "seed": SEED,
-        "cores": cores,
-        "cpu_count": cores,
-        # every chaos gate (availability floor, zero torn reads, shed
-        # cleanliness, checkpoint recovery) is machine-independent
+        "cpu_count": os.cpu_count() or 1,
         "notices": [],
         "soup_plan": SOUP_PLAN,
         "heartbeat_interval_s": HEARTBEAT_S,
@@ -424,7 +411,7 @@ def run() -> dict:
 def format_rows(result: dict) -> list:
     injected = result["injected"]
     return [
-        ["cores", str(result["cores"])],
+        ["cores", str(result["cpu_count"])],
         [
             "read availability through the fault soup",
             f"{result['chaos_availability']:.4%}",
@@ -454,15 +441,5 @@ def format_rows(result: dict) -> list:
     ]
 
 
-def main() -> int:  # pragma: no cover - manual invocation
-    from repro.utils.tables import format_table
-
-    result = run()
-    print(format_table(format_rows(result), headers=["chaos", "value"]))
-    SUMMARY_PATH.write_text(json.dumps(result, indent=2) + "\n")
-    print(f"wrote {SUMMARY_PATH}")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+if __name__ == "__main__":  # pragma: no cover - manual invocation
+    sys.exit(benchkit.main("chaos", run, format_rows))

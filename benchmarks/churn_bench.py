@@ -3,9 +3,9 @@
 One measurement routine used from two places:
 
 * ``benchmarks/test_membership_churn.py`` — the pytest bench that
-  prints the table and writes ``BENCH_churn.json``;
-* ``benchmarks/compare.py --check`` — the CI regression gate, which
-  re-measures and compares against the committed numbers.
+  prints the table and gates the payload;
+* ``benchmarks/compare.py`` — which writes ``BENCH_churn.json`` and
+  reports the latencies and throughput against the committed numbers.
 
 The scenario: a sharded serving stack under sustained query and ingest
 load takes a storm of live membership transitions (joins and leaves

@@ -1,8 +1,7 @@
 """Cluster-plane failover benchmark (shared measurement module).
 
-Used by ``benchmarks/test_cluster_failover.py`` (tier-1, writes
-``BENCH_cluster.json``) and by ``benchmarks/compare.py --check`` (the CI
-regression gate).  Two measurements:
+Used by ``benchmarks/test_cluster_failover.py`` (tier-1) and by
+``benchmarks/compare.py`` (``BENCH_cluster.json``).  Two measurements:
 
 * **failover availability** — a 2-group process-mode cluster under
   sustained routed ingest and mirror-read load takes a SIGKILL of one
@@ -19,8 +18,8 @@ regression gate).  Two measurements:
   :class:`RoutingGateway` (validate, split by partition book, forward)
   vs submitted pre-split straight into each group's admission path, on
   a thread-mode cluster (no IPC noise).  ``route_overhead_x`` is the
-  end-to-end slowdown the routing tier adds; ``compare.py --check``
-  gates it under :data:`ROUTE_OVERHEAD_CEILING`.
+  end-to-end slowdown the routing tier adds, gated under a 4x
+  ceiling.
 """
 
 from __future__ import annotations
@@ -30,12 +29,10 @@ import signal
 import sys
 import threading
 import time
-from pathlib import Path
 
 import numpy as np
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "src"))
+import benchkit  # puts src/ on sys.path
 
 from repro.core.config import DMFSGDConfig  # noqa: E402
 from repro.serving.cluster import build_cluster  # noqa: E402
@@ -53,16 +50,6 @@ HEARTBEAT_S = 0.05
 STALENESS_BUDGET_S = 0.25
 OUTAGE_RUN_S = 3.0
 KILL_AFTER_ANSWERS = 100
-SUMMARY_PATH = REPO_ROOT / "BENCH_cluster.json"
-
-#: acceptance floor: mirror reads answered during the kill/restart
-#: window.  Machine-independent — reads are in-process gathers against
-#: the last mirror snapshot and must not observe the outage at all.
-CLUSTER_MIN_AVAILABILITY = 0.999
-
-#: ceiling on the routed-vs-direct ingest slowdown (the routing tier's
-#: validate + owner-split + forward tax, end to end)
-ROUTE_OVERHEAD_CEILING = 4.0
 
 
 def _factors(rng) -> tuple:
@@ -267,17 +254,13 @@ def bench_failover() -> dict:
 
 
 def run() -> dict:
-    cores = os.cpu_count() or 1
     result = {
         "nodes": NODES,
         "rank": RANK,
         "groups": GROUPS,
         "group_shards": GROUP_SHARDS,
         "seed": SEED,
-        "cores": cores,
-        "cpu_count": cores,
-        # both cluster gates (availability floor, route-overhead
-        # ceiling) are enforced on any machine — nothing to skip
+        "cpu_count": os.cpu_count() or 1,
         "notices": [],
         "staleness_budget_s": STALENESS_BUDGET_S,
         "heartbeat_interval_s": HEARTBEAT_S,
@@ -289,7 +272,7 @@ def run() -> dict:
 
 def format_rows(result: dict) -> list:
     return [
-        ["cores", str(result["cores"])],
+        ["cores", str(result["cpu_count"])],
         [
             "query availability through kill/restart",
             f"{result['query_availability_during_outage']:.4%}",
@@ -312,17 +295,5 @@ def format_rows(result: dict) -> list:
     ]
 
 
-def main() -> int:  # pragma: no cover - manual invocation
-    import json
-
-    from repro.utils.tables import format_table
-
-    result = run()
-    print(format_table(format_rows(result), headers=["cluster", "value"]))
-    SUMMARY_PATH.write_text(json.dumps(result, indent=2) + "\n")
-    print(f"wrote {SUMMARY_PATH}")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+if __name__ == "__main__":  # pragma: no cover - manual invocation
+    sys.exit(benchkit.main("cluster", run, format_rows))

@@ -1,1122 +1,206 @@
-"""Scale-out benchmark + regression gate: ``python benchmarks/compare.py``.
+"""Run every in-process benchmark and gate it.
 
-Measures the serving scale-out surface added by ``repro.serving.shard``
-with a seeded RNG and writes ``BENCH_scaleout.json``:
+::
 
-* **ingest throughput at shards ∈ {1, 2, 4}** — the guarded admission
-  stream (token buckets + sigma filter + dedup/clip) through the
-  single-store pipeline (``shards=1``) and through ``ShardedIngest``
-  (bounded queues, one worker per shard);
-* **query throughput at shards ∈ {1, 2, 4}** — vectorized
-  ``estimate_pairs`` batches against the (sharded) snapshot, plus the
-  dense one-to-many row path;
-* **single-query coalescing** — the per-request path
-  (``predict_pair`` per query) vs the request coalescer:
-  ``single_query_coalesced_pps`` drives the full open loop
-  (submit + collect through the worker), and
-  ``coalesced_answer_pps`` prices the answer path itself — the same
-  queries packed into the coalescer's observed mean batch size and
-  answered by ``predict_pairs`` gathers, which is where coalescing
-  moves the serving work.
+    python benchmarks/compare.py           # measure into .bench_out/
+    python benchmarks/compare.py --check   # ... gate against baselines
+    python benchmarks/compare.py --bless   # ... rewrite the baselines
 
-Also runs the live-churn measurement (``benchmarks/churn_bench.py``,
-shared with ``benchmarks/test_membership_churn.py``) and writes
-``BENCH_churn.json``: membership epoch-transition latency and query
-availability while join/leave storms run under load.
+Each benchmark's payload is evaluated against its gate table
+(``benchkit.GATES``; see ``benchkit.py`` for the five gate kinds):
+counts, booleans, availability floors and same-run ratios, which hold
+on any machine.  Every run exits 1 when a gate fails.
 
-And the process-per-shard measurement (``benchmarks/mp_bench.py``,
-shared with ``benchmarks/test_mp_scaleout.py``) into ``BENCH_mp.json``:
-guarded admission through 4 worker processes vs one process, plus the
-bitwise read-parity bit.  ``--check`` enforces the mp floor (>= 1.5x
-the single process) only on machines with >= 4 cores — fewer cores
-cannot parallelize anything and only pay the IPC tax — and prints a
-skip notice otherwise; parity must hold everywhere.
+``--check`` also loads each committed ``BENCH_<name>.json`` at the
+repo root.  A missing or unreadable baseline is a failure naming the
+file.  The scenario documents must match their baseline's seed,
+schedule digest and counters exactly: scenario runs are
+seed-deterministic, so any drift is a behaviour change.  Single-shot
+throughput and latency numbers are printed as report lines, committed
+vs fresh, and never gated: runs of identical code moved
+``route_routed_mps`` 595k -> 420k -> 532k and ``mp_shards4_mps``
+484k -> 358k -> 457k.  The committed baselines' ``notices`` (gates
+their machine skipped) are echoed.
 
-And the cluster-plane failover measurement
-(``benchmarks/cluster_bench.py``, shared with
-``benchmarks/test_cluster_failover.py``) into ``BENCH_cluster.json``:
-SIGKILL one whole worker group under routed load — query availability
-through the outage must stay >= 99.9% on every machine (mirror reads
-never observe the kill), the death must be detected and restarted, and
-the routing tier's end-to-end ingest tax must stay under the
-route-overhead ceiling.
-
-And the live-topology measurement (``benchmarks/reconfig_bench.py``,
-shared with ``benchmarks/test_reconfig_smoke.py``) into
-``BENCH_reconfig.json``: a flash-crowd burst must drive the autopilot
-to split at least one shard and merge back after, with query
-availability >= 99.9% through every transition on every machine
-(snapshot reads are epoch-atomic), shard versions never rewinding, and
-split/merge round trips bitwise factor-preserving in both worker
-modes.
-
-And the fault-plane measurement (``benchmarks/chaos_bench.py``, shared
-with ``benchmarks/test_chaos_smoke.py``) into ``BENCH_chaos.json``:
-the standard fault soup (delayed pulls, a silent group crash that must
-be *detected*, dropped heartbeats, one corrupted checkpoint write)
-must leave read availability >= 99.9% with zero torn reads, ride the
-circuit breaker open and closed around the flap, and recover the
-corrupted checkpoint from the rotated last-good file; the overload
-half must shed cleanly (503s, never hard failures) while single reads
-keep answering.  Every chaos gate is a count or boolean —
-machine-independent — so all of them are absolute invariants.
-
-And the scenario matrix (``benchmarks/scenario_bench.py``, shared
-with ``benchmarks/test_scenario_smoke.py``) into one
-``BENCH_scenario_<name>.json`` per named scenario: every scenario in
-``repro.scenarios.library`` runs under the thread plane *and* the
-process plane with the shared bench seed.  The gates are absolute and
-machine-independent — the seeded event schedule must be identical
-across planes and fully fired (``schedule_match``), the deterministic
-counters must be bitwise-equal across planes (``counters_match``),
-every mode must hold availability >= 99.9% with zero torn reads and
-zero version rewinds, and each scenario must demonstrably exercise its
-workload (the hot pair rotated, the guard shed the poison, the churn
-applied, ...).  Against a committed baseline with a matching seed the
-schedule digest and the counters must match *exactly* — scenario runs
-are seed-deterministic, so any drift is a behaviour change, not noise.
-
-And the telemetry-overhead measurement (``benchmarks/obs_bench.py``,
-shared with ``benchmarks/test_obs_smoke.py``) into ``BENCH_obs.json``:
-the instrumented ingest hot path (metrics registry bound, tracing
-off) must stay within 5% of the uninstrumented path — measured as a
-batch-interleaved paired ratio, so the gate is absolute on every
-machine — the latency families' p99 keys must be present in the
-quantile summary, and every span minted by the traced configuration
-must complete all five stage stamps.
-
-When a committed ``BENCH_*.json`` baseline predates a gate key,
-``--check`` names the missing key in its output instead of silently
-skipping the diff, so stale baselines are visible.
-
-On ``--check`` the committed baselines' recorded ``notices`` are
-echoed (``notice (BENCH_x.json): ...``) even when the check passes,
-so the caveats a baseline carries are visible in every CI log, not
-only inside the JSON files.
-
-Every ``BENCH_*.json`` this gate writes records the machine's
-``cpu_count`` and a ``notices`` list naming any gate that was skipped
-on that machine (e.g. the mp speedup floor below 4 cores), so a
-committed baseline is self-describing about what it did and did not
-enforce.
-
-Regression gate (CI-friendly)::
-
-    python benchmarks/compare.py --check [--tolerance 0.25]
-
-re-runs the measurements and exits non-zero if any throughput in the
-committed ``BENCH_scaleout.json`` / ``BENCH_churn.json`` regressed by
-more than the tolerance (default 25%), if a churn epoch-transition
-latency blew past its committed baseline (latencies get triple the
-tolerance plus absolute slack — they are noisier than throughputs), if
-query availability under churn drops below 99.9%, or if the absolute
-invariants break (coalesced answer path ≥ 5× per-request; sharded
-guarded admission ≥ 2× the PR 2 baseline of 410k mps, calibrated by
-the machine's measured single-pipeline speed so the floor transfers
-between differently-sized machines).  Fresh numbers
-are only written back in measure mode, so a failed check leaves the
-committed baselines untouched.
+Fresh payloads always go to the gitignored ``.bench_out/``.
+``--bless`` is the only path that writes the repo-root baselines, and
+only when every gate passes.  Each is stamped with perfbench's
+``machine_stamp`` under ``"machine"``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-import time
 from pathlib import Path
 
-import numpy as np
+sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "src"))
-sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
-
+import benchkit  # noqa: E402  (puts src/ on sys.path)
 import chaos_bench  # noqa: E402
 import churn_bench  # noqa: E402
 import cluster_bench  # noqa: E402
 import mp_bench  # noqa: E402
 import obs_bench  # noqa: E402
 import reconfig_bench  # noqa: E402
+import scaleout_bench  # noqa: E402
 import scenario_bench  # noqa: E402
+import test_ingest_guard  # noqa: E402
+import test_serving_throughput  # noqa: E402
 
-from repro.core.config import DMFSGDConfig  # noqa: E402
-from repro.core.engine import DMFSGDEngine  # noqa: E402
-from repro.serving.guard import (  # noqa: E402
-    AdmissionGuard,
-    RobustSigmaFilter,
-    TokenBucketRateLimiter,
-)
-from repro.serving.ingest import IngestPipeline  # noqa: E402
-from repro.serving.service import PredictionService  # noqa: E402
-from repro.serving.shard import (  # noqa: E402
-    RequestCoalescer,
-    ShardedCoordinateStore,
-    ShardedIngest,
-)
-from repro.serving.store import CoordinateStore  # noqa: E402
 from repro.scenarios.benchio import format_scenario_rows  # noqa: E402
 from repro.utils.tables import format_table  # noqa: E402
 
-SEED = 20111206
-NODES = 500
-RANK = 10
-SAMPLES = 40_000
-BATCH = 1024
-HOT_FRACTION = 0.3
-QUERY_PAIRS = 200_000
-QUERY_BATCH = 4096
-SINGLE_QUERIES = 20_000
-COALESCE_WINDOW = 0.0005
-SHARD_COUNTS = (1, 2, 4)
-SUMMARY_PATH = REPO_ROOT / "BENCH_scaleout.json"
-CHURN_SUMMARY_PATH = REPO_ROOT / "BENCH_churn.json"
-MP_SUMMARY_PATH = mp_bench.SUMMARY_PATH
-CLUSTER_SUMMARY_PATH = cluster_bench.SUMMARY_PATH
-RECONFIG_SUMMARY_PATH = reconfig_bench.SUMMARY_PATH
-CHAOS_SUMMARY_PATH = chaos_bench.SUMMARY_PATH
-OBS_SUMMARY_PATH = obs_bench.SUMMARY_PATH
+#: bench name -> module with ``run()`` and ``format_rows(result)``
+BENCHES = {
+    "scaleout": scaleout_bench,
+    "churn": churn_bench,
+    "mp": mp_bench,
+    "cluster": cluster_bench,
+    "reconfig": reconfig_bench,
+    "chaos": chaos_bench,
+    "obs": obs_bench,
+    "serving": test_serving_throughput,
+    "ingest": test_ingest_guard,
+}
 
-#: PR 2's guarded admission throughput (measurements/s): the scale-out
-#: work must hold at least 2x this (the issue's acceptance bar).
-PR2_GUARDED_ADMISSION_MPS = 410_444.0
-
-#: the single-pipeline guarded-admission throughput on the machine that
-#: set the PR 2/PR 3 floors.  Absolute floors only transfer between
-#: machines after calibrating by relative speed: the same-run shards1
-#: measurement over this reference scales the floor down on slower
-#: hardware (never up — faster machines still face the full bar).
-PR3_SINGLE_REFERENCE_MPS = 963_188.0
-
-
-def _stream(rng):
-    """The ingest-guard bench's duplicate-heavy admission stream."""
-    sources = rng.integers(0, NODES, size=SAMPLES)
-    targets = (sources + 1 + rng.integers(0, NODES - 1, size=SAMPLES)) % NODES
-    hot = rng.random(SAMPLES) < HOT_FRACTION
-    sources[hot], targets[hot] = 3, 7
-    values = rng.choice([-1.0, 1.0], size=SAMPLES)
-    return sources, targets, values
-
-
-def _engine(seed=1):
-    config = DMFSGDConfig(neighbors=8)
-    return DMFSGDEngine(
-        NODES, lambda r, c: np.ones(len(r)), config, rng=seed
+#: single-shot throughput/latency keys: --check reports them, ungated
+REPORT_KEYS = {
+    "scaleout": tuple(
+        f"{kind}_shards{s}_{unit}"
+        for kind, unit in (
+            ("ingest", "mps"),
+            ("query_pairs", "pps"),
+            ("query_rows", "pps"),
+        )
+        for s in scaleout_bench.SHARD_COUNTS
     )
-
-
-def _guard():
-    return AdmissionGuard(
-        rate_limiter=TokenBucketRateLimiter(1e9, 1e9),
-        filters=[RobustSigmaFilter(sigma=6.0)],
-    )
-
-
-def bench_ingest(shards: int, sources, targets, values) -> float:
-    """Guarded-admission measurements/second at a given shard count."""
-    engine = _engine()
-    if shards == 1:
-        store = CoordinateStore(engine.coordinates)
-        pipeline = IngestPipeline(
-            engine,
-            store,
-            batch_size=BATCH,
-            refresh_interval=10 * BATCH,
-            step_clip=0.1,
-            guard=_guard(),
-        )
-        start = time.perf_counter()
-        for lo in range(0, SAMPLES, BATCH):
-            pipeline.submit_many(
-                sources[lo : lo + BATCH],
-                targets[lo : lo + BATCH],
-                values[lo : lo + BATCH],
-            )
-        pipeline.flush()
-        return SAMPLES / (time.perf_counter() - start)
-    store = ShardedCoordinateStore(engine.coordinates, shards=shards)
-    with ShardedIngest(
-        engine,
-        store,
-        batch_size=BATCH,
-        refresh_interval=10 * BATCH,
-        step_clip=0.1,
-        guards=[_guard() for _ in range(shards)],
-        queue_depth=256,
-    ) as sharded:
-        start = time.perf_counter()
-        for lo in range(0, SAMPLES, BATCH):
-            sharded.submit_many(
-                sources[lo : lo + BATCH],
-                targets[lo : lo + BATCH],
-                values[lo : lo + BATCH],
-            )
-        sharded.flush()
-        return SAMPLES / (time.perf_counter() - start)
-
-
-def bench_queries(shards: int, rng) -> "tuple[float, float]":
-    """(batch pair pps, one-to-many row pps) at a given shard count."""
-    table_rng = np.random.default_rng(SEED)
-    U = table_rng.uniform(size=(NODES, RANK))
-    V = table_rng.uniform(size=(NODES, RANK))
-    if shards == 1:
-        snapshot = CoordinateStore((U, V)).snapshot()
-    else:
-        snapshot = ShardedCoordinateStore((U, V), shards=shards).snapshot()
-    sources = rng.integers(0, NODES, size=QUERY_PAIRS)
-    targets = (sources + 1 + rng.integers(0, NODES - 1, size=QUERY_PAIRS)) % NODES
-    start = time.perf_counter()
-    for lo in range(0, QUERY_PAIRS, QUERY_BATCH):
-        snapshot.estimate_pairs(
-            sources[lo : lo + QUERY_BATCH], targets[lo : lo + QUERY_BATCH]
-        )
-    pair_pps = QUERY_PAIRS / (time.perf_counter() - start)
-    rows = 2000  # enough calls to dominate the one-off dense-view build
-    start = time.perf_counter()
-    for i in range(rows):
-        snapshot.estimate_row(int(i % NODES))
-    row_pps = rows * (NODES - 1) / (time.perf_counter() - start)
-    return pair_pps, row_pps
-
-
-def bench_coalescing(rng) -> "dict[str, float]":
-    """Per-request path vs the coalesced single-query path."""
-    table_rng = np.random.default_rng(SEED)
-    U = table_rng.uniform(size=(NODES, RANK))
-    V = table_rng.uniform(size=(NODES, RANK))
-    service = PredictionService(CoordinateStore((U, V)), cache_size=0)
-    sources = rng.integers(0, NODES, size=SINGLE_QUERIES)
-    targets = (
-        sources + 1 + rng.integers(0, NODES - 1, size=SINGLE_QUERIES)
-    ) % NODES
-    pairs = list(zip(sources.tolist(), targets.tolist()))
-
-    # -- per-request path: one predict_pair per query ------------------
-    start = time.perf_counter()
-    for src, dst in pairs:
-        service.predict_pair(src, dst)
-    uncoalesced_pps = SINGLE_QUERIES / (time.perf_counter() - start)
-
-    # -- coalesced, open loop: submit every query, collect every answer
-    with RequestCoalescer(
-        service, window=COALESCE_WINDOW, max_batch=8192
-    ) as coalescer:
-        start = time.perf_counter()
-        tickets = [coalescer.submit(src, dst) for src, dst in pairs]
-        for ticket in tickets:
-            ticket.result(timeout=30.0)
-        coalesced_pps = SINGLE_QUERIES / (time.perf_counter() - start)
-        stats = coalescer.as_dict()
-    mean_batch = max(1, int(stats["mean_batch"] or 1))
-
-    # -- the answer path itself: the same queries packed into the
-    # coalescer's observed mean batch size and answered by the batch
-    # gather — the capacity coalescing unlocks on the serving side
-    start = time.perf_counter()
-    for lo in range(0, SINGLE_QUERIES, mean_batch):
-        service.predict_pairs(
-            sources[lo : lo + mean_batch], targets[lo : lo + mean_batch]
-        )
-    answer_pps = SINGLE_QUERIES / (time.perf_counter() - start)
-
-    return {
-        "single_query_uncoalesced_pps": uncoalesced_pps,
-        "single_query_coalesced_pps": coalesced_pps,
-        "coalesced_answer_pps": answer_pps,
-        "coalesce_window_s": COALESCE_WINDOW,
-        "coalesce_mean_batch": float(mean_batch),
-        "coalesced_answer_speedup": answer_pps / uncoalesced_pps,
-    }
-
-
-def annotate(result: dict, notices=()) -> dict:
-    """Stamp a bench payload with the machine facts every gate needs.
-
-    ``cpu_count`` makes baselines comparable across machines;
-    ``notices`` names any gate the measuring machine could not enforce
-    (skip-with-notice), so a committed ``BENCH_*.json`` carries its own
-    caveats instead of leaving them in a long-gone CI log.
-    """
-    result["cpu_count"] = os.cpu_count() or 1
-    result["notices"] = list(notices)
-    return result
-
-
-def run() -> dict:
-    rng = np.random.default_rng(SEED)
-    sources, targets, values = _stream(rng)
-    result: dict = {
-        "nodes": NODES,
-        "rank": RANK,
-        "samples": SAMPLES,
-        "hot_fraction": HOT_FRACTION,
-        "seed": SEED,
-    }
-    for shards in SHARD_COUNTS:
-        result[f"ingest_shards{shards}_mps"] = bench_ingest(
-            shards, sources.copy(), targets.copy(), values.copy()
-        )
-    for shards in SHARD_COUNTS:
-        pair_pps, row_pps = bench_queries(shards, rng)
-        result[f"query_pairs_shards{shards}_pps"] = pair_pps
-        result[f"query_rows_shards{shards}_pps"] = row_pps
-    result.update(bench_coalescing(rng))
-    notices = []
-    machine = min(
-        1.0, result["ingest_shards1_mps"] / PR3_SINGLE_REFERENCE_MPS
-    )
-    if machine < 1.0:
-        notices.append(
-            f"sharded-admission floor scaled by x{machine:.2f} machine "
-            "calibration (single-pipeline speed vs the PR 3 reference)"
-        )
-    return annotate(result, notices)
-
-
-def format_result(result: dict) -> str:
-    rows = []
-    for shards in SHARD_COUNTS:
-        rows.append(
-            [
-                f"ingest, {shards} shard(s)",
-                f"{result[f'ingest_shards{shards}_mps']:,.0f} mps",
-            ]
-        )
-    for shards in SHARD_COUNTS:
-        rows.append(
-            [
-                f"batch queries, {shards} shard(s)",
-                f"{result[f'query_pairs_shards{shards}_pps']:,.0f} pps",
-            ]
-        )
-    rows.append(
-        [
-            "single query, per-request",
-            f"{result['single_query_uncoalesced_pps']:,.0f} pps",
-        ]
-    )
-    rows.append(
-        [
-            "single query, coalesced (open loop)",
-            f"{result['single_query_coalesced_pps']:,.0f} pps",
-        ]
-    )
-    rows.append(
-        [
-            "coalesced answer path",
-            f"{result['coalesced_answer_pps']:,.0f} pps",
-        ]
-    )
-    return format_table(rows, headers=["path", "throughput"])
-
-
-# ----------------------------------------------------------------------
-# the regression gate
-# ----------------------------------------------------------------------
-
-#: JSON keys compared by --check (higher is better for every one)
-THROUGHPUT_KEYS = tuple(
-    [f"ingest_shards{s}_mps" for s in SHARD_COUNTS]
-    + [f"query_pairs_shards{s}_pps" for s in SHARD_COUNTS]
-    + [f"query_rows_shards{s}_pps" for s in SHARD_COUNTS]
-    + [
+    + (
         "single_query_uncoalesced_pps",
         "single_query_coalesced_pps",
         "coalesced_answer_pps",
-    ]
-)
-
-#: BENCH_churn.json keys where higher is better
-CHURN_THROUGHPUT_KEYS = ("queries_during_churn_pps",)
-
-#: BENCH_churn.json keys where *lower* is better (epoch latencies).
-#: Latency measurements are far noisier than throughput sweeps, so the
-#: ceiling is committed * (1 + 3*tolerance) plus an absolute slack.
-CHURN_LATENCY_KEYS = ("join_transition_ms", "leave_transition_ms")
-CHURN_LATENCY_SLACK_MS = 10.0
-
-#: availability under churn must hold absolutely, baseline or not
-CHURN_MIN_AVAILABILITY = 0.999
-
-#: BENCH_mp.json keys where higher is better (regression-compared only
-#: when the committed baseline came from the same core count — process
-#: throughput does not transfer between differently-sized machines)
-MP_THROUGHPUT_KEYS = ("guarded_admission_single_mps", "mp_shards4_mps")
-
-#: BENCH_cluster.json keys where higher is better (same-core-count
-#: baselines only, like the mp gate)
-CLUSTER_THROUGHPUT_KEYS = (
-    "queries_during_outage_pps",
-    "route_direct_mps",
-    "route_routed_mps",
-)
-
-#: BENCH_reconfig.json keys where higher is better (same-core-count
-#: baselines only)
-RECONFIG_THROUGHPUT_KEYS = ("queries_during_reconfig_pps",)
-
-#: availability through autopilot split/merge transitions must hold
-#: absolutely on every machine, baseline or not
-RECONFIG_MIN_AVAILABILITY = reconfig_bench.RECONFIG_MIN_AVAILABILITY
-
-#: BENCH_scenario_<name>.json availability floor — the scenario
-#: engine's standing invariant, absolute on every machine
-SCENARIO_MIN_AVAILABILITY = 0.999
-
-#: per-scenario workload floors on the deterministic counters:
-#: each scenario must demonstrably exercise the thing it is named for,
-#: on every machine (the counters are seed-deterministic, so these are
-#: exact behaviour gates, not throughput floors)
-SCENARIO_WORKLOAD_FLOORS = {
-    "diurnal": (("rotations", 1), ("hot_fed", 1)),
-    "flash_crowd": (("reshards", 4),),
-    "drift": (("drift_steps", 1),),
-    "poison": (
-        ("rejected_guard", 1),
-        ("dropped_invalid", 1),
-        ("poisoned_fed", 1),
     ),
-    "churn_storm": (("leaves", 8), ("joins", 8), ("churn_applied", 16)),
-    "replay": (("applied", 1),),
+    "churn": (
+        "queries_during_churn_pps",
+        "join_transition_ms",
+        "leave_transition_ms",
+    ),
+    "mp": ("guarded_admission_single_mps", "mp_shards4_mps"),
+    "cluster": (
+        "queries_during_outage_pps",
+        "route_direct_mps",
+        "route_routed_mps",
+    ),
+    "reconfig": ("queries_during_reconfig_pps",),
 }
 
-#: per-scenario counters that must be exactly zero
-SCENARIO_ZERO_KEYS = {
-    "churn_storm": ("churn_failures",),
-}
+
+def measure() -> dict:
+    """Run every bench; returns ``{name: payload}``, printing tables."""
+    fresh = {}
+    for name, module in BENCHES.items():
+        fresh[name] = module.run()
+        rows = module.format_rows(fresh[name])
+        print(format_table(rows, headers=[name, "value"]))
+    for scenario, payload in scenario_bench.run().items():
+        fresh[f"scenario_{scenario}"] = payload
+        print(format_scenario_rows(payload))
+    return fresh
 
 
-def diff_throughput(
-    committed: dict, fresh: dict, keys, tolerance: float, source: str
-) -> list:
-    """Floor-diff each gate key against a committed baseline.
-
-    Returns failure strings for any measured value below
-    ``(1 - tolerance) * committed``.  A gate key *absent* from the
-    committed file means the baseline predates the measurement — it is
-    named in a note (not silently skipped), so a stale committed
-    ``BENCH_*.json`` is visible in the check output.
-    """
-    failures = []
-    missing = [key for key in keys if key not in committed]
-    if missing:
-        print(
-            f"note: committed {source} is missing gate key(s) "
-            f"{', '.join(repr(k) for k in missing)}; re-run measure mode "
-            "to refresh the baseline"
-        )
-    for key in keys:
+def report(name: str, fresh: dict, committed: dict) -> None:
+    """Print committed vs fresh for the bench's ungated numbers."""
+    cores = ""
+    if committed.get("cpu_count") != fresh.get("cpu_count"):
+        cores = f" (committed on {committed.get('cpu_count')} core(s))"
+    for key in REPORT_KEYS.get(name, ()):
+        now = float(fresh[key])
         if key not in committed:
+            print(f"report {name}.{key}: {now:,.1f} (not in baseline)")
             continue
-        floor = (1.0 - tolerance) * float(committed[key])
-        if fresh[key] < floor:
-            failures.append(
-                f"{key}: measured {fresh[key]:,.0f} < {floor:,.0f} "
-                f"({(1.0 - tolerance):.0%} of committed "
-                f"{float(committed[key]):,.0f})"
-            )
-    return failures
-
-
-def check_mp(mp: dict, tolerance: float) -> list:
-    """BENCH_mp.json invariants; returns failure strings."""
-    failures = []
-    if MP_SUMMARY_PATH.exists():
-        committed = json.loads(MP_SUMMARY_PATH.read_text())
-        if int(committed.get("cores", 0)) == int(mp["cores"]):
-            failures.extend(
-                diff_throughput(
-                    committed,
-                    mp,
-                    MP_THROUGHPUT_KEYS,
-                    tolerance,
-                    MP_SUMMARY_PATH.name,
-                )
-            )
-        else:
-            print(
-                f"note: committed {MP_SUMMARY_PATH.name} was measured on "
-                f"{committed.get('cores')} core(s), this machine has "
-                f"{mp['cores']}; skipping mp regression diffs"
-            )
-    else:
-        print(f"note: no committed {MP_SUMMARY_PATH.name}; skipping diffs")
-
-    # acceptance invariants
-    if not mp["read_parity_bitwise"]:
-        failures.append(
-            "process-store reads are not bitwise identical to thread mode"
-        )
-    if mp["cores"] >= mp_bench.MP_MIN_CORES:
-        if mp["mp_speedup"] < mp_bench.MP_SPEEDUP_FLOOR:
-            failures.append(
-                f"mp guarded admission is only {mp['mp_speedup']:.2f}x the "
-                f"single process on {mp['cores']} cores (floor "
-                f"{mp_bench.MP_SPEEDUP_FLOOR}x)"
-            )
-    else:
+        then = float(committed[key])
+        change = f"{now / then - 1.0:+.0%}" if then else "n/a"
         print(
-            f"note: {mp['cores']} core(s) < {mp_bench.MP_MIN_CORES}; the "
-            f"{mp_bench.MP_SPEEDUP_FLOOR}x mp throughput floor needs cores "
-            "to parallelize over — skipping it (recorded "
-            f"{mp['mp_speedup']:.2f}x for the books)"
+            f"report {name}.{key}: committed {then:,.1f} -> "
+            f"fresh {now:,.1f} ({change}){cores}"
         )
-    return failures
 
 
-def check_cluster(cluster: dict, tolerance: float) -> list:
-    """BENCH_cluster.json invariants; returns failure strings.
-
-    The availability floor and the route-overhead ceiling are absolute
-    and hold on every machine: mirror reads are in-process gathers that
-    must never observe a group outage, and the routing tier's tax does
-    not get worse on smaller machines.  Throughput diffs against the
-    committed baseline only run on a matching core count, like the mp
-    gate.
-    """
+def check(fresh: dict) -> list:
+    """Failures of every fresh payload against its gates and baseline."""
     failures = []
-    if CLUSTER_SUMMARY_PATH.exists():
-        committed = json.loads(CLUSTER_SUMMARY_PATH.read_text())
-        if int(committed.get("cores", 0)) == int(cluster["cores"]):
-            failures.extend(
-                diff_throughput(
-                    committed,
-                    cluster,
-                    CLUSTER_THROUGHPUT_KEYS,
-                    tolerance,
-                    CLUSTER_SUMMARY_PATH.name,
-                )
-            )
-        else:
-            print(
-                f"note: committed {CLUSTER_SUMMARY_PATH.name} was measured "
-                f"on {committed.get('cores')} core(s), this machine has "
-                f"{cluster['cores']}; skipping cluster regression diffs"
-            )
-    else:
-        print(
-            f"note: no committed {CLUSTER_SUMMARY_PATH.name}; skipping diffs"
-        )
-
-    # acceptance invariants (absolute, machine-independent)
-    availability = cluster["query_availability_during_outage"]
-    if availability < cluster_bench.CLUSTER_MIN_AVAILABILITY:
-        failures.append(
-            f"query availability through the group kill is "
-            f"{availability:.4%}, under the "
-            f"{cluster_bench.CLUSTER_MIN_AVAILABILITY:.1%} floor"
-        )
-    overhead = cluster["route_overhead_x"]
-    if overhead > cluster_bench.ROUTE_OVERHEAD_CEILING:
-        failures.append(
-            f"routing tier costs {overhead:.2f}x over direct group ingest "
-            f"(ceiling {cluster_bench.ROUTE_OVERHEAD_CEILING}x)"
-        )
-    if sum(cluster["deaths_detected"]) < 1:
-        failures.append("the SIGKILLed group was never detected as dead")
-    if sum(cluster["group_restarts"]) < 1:
-        failures.append("the SIGKILLed group was never restarted")
-    if not cluster["version_monotone"]:
-        failures.append(
-            "cluster version rewound across the kill/restart "
-            f"({cluster['version_before_kill']} -> "
-            f"{cluster['version_after_recovery']})"
-        )
-    return failures
-
-
-def check_reconfig(reconfig: dict, tolerance: float) -> list:
-    """BENCH_reconfig.json invariants; returns failure strings.
-
-    The availability floor, parity bits, version monotonicity and the
-    split-under-load / merge-after-burst behaviour are absolute and
-    hold on every machine.  Throughput diffs against the committed
-    baseline only run on a matching core count, like the mp gate.
-    """
-    failures = []
-    if RECONFIG_SUMMARY_PATH.exists():
-        committed = json.loads(RECONFIG_SUMMARY_PATH.read_text())
-        if int(committed.get("cores", 0)) == int(reconfig["cores"]):
-            failures.extend(
-                diff_throughput(
-                    committed,
-                    reconfig,
-                    RECONFIG_THROUGHPUT_KEYS,
-                    tolerance,
-                    RECONFIG_SUMMARY_PATH.name,
-                )
-            )
-        else:
-            print(
-                f"note: committed {RECONFIG_SUMMARY_PATH.name} was measured "
-                f"on {committed.get('cores')} core(s), this machine has "
-                f"{reconfig['cores']}; skipping reconfig regression diffs"
-            )
-    else:
-        print(
-            f"note: no committed {RECONFIG_SUMMARY_PATH.name}; skipping diffs"
-        )
-
-    # acceptance invariants (absolute, machine-independent)
-    if reconfig["autopilot_splits"] < 1:
-        failures.append("the autopilot never split under the flash crowd")
-    if reconfig["autopilot_merges"] < 1:
-        failures.append("the autopilot never merged back after the burst")
-    availability = reconfig["query_availability_during_reconfig"]
-    if availability < RECONFIG_MIN_AVAILABILITY:
-        failures.append(
-            f"query availability through autopilot reconfig is "
-            f"{availability:.4%}, under the "
-            f"{RECONFIG_MIN_AVAILABILITY:.1%} floor"
-        )
-    if reconfig["version_rewinds_observed"]:
-        failures.append(
-            f"{reconfig['version_rewinds_observed']} snapshot version "
-            "rewind(s) observed during reconfig"
-        )
-    for mode in ("thread", "process"):
-        if not reconfig[f"{mode}_parity_bitwise"]:
-            failures.append(
-                f"{mode}-mode split/merge round trip is not bitwise "
-                "factor-preserving"
-            )
-        if not reconfig[f"{mode}_version_monotone"]:
-            failures.append(
-                f"{mode}-mode shard versions rewound across a transition"
-            )
-    return failures
-
-
-def check_chaos(chaos: dict, tolerance: float) -> list:
-    """BENCH_chaos.json invariants; returns failure strings.
-
-    Every chaos gate is a count or a boolean, so — unlike the
-    throughput gates — all of them are absolute and machine-independent
-    and there is no same-core baseline diff.  The breaker open/close
-    latencies are recorded for the books but not gated: they track the
-    refresh cadence, not a regression surface.
-    """
-    failures = []
-    availability = chaos["chaos_availability"]
-    if availability < chaos_bench.CHAOS_MIN_AVAILABILITY:
-        failures.append(
-            f"read availability through the fault soup is "
-            f"{availability:.4%}, under the "
-            f"{chaos_bench.CHAOS_MIN_AVAILABILITY:.1%} floor"
-        )
-    if chaos["chaos_torn_reads"]:
-        failures.append(
-            f"{chaos['chaos_torn_reads']} torn read(s) under the fault "
-            "soup (non-finite estimates or snapshot-version rewinds)"
-        )
-    injected = chaos["injected"]
-    for fault in (
-        "transport.pull:delay",
-        "heartbeat:drop",
-        "checkpoint.write:corrupt",
-    ):
-        if not injected.get(fault, 0):
-            failures.append(f"planned fault {fault!r} never fired")
-    if chaos["outage_kills"] < 1 or chaos["outage_restarts"] < 1:
-        failures.append("the scripted group flap never ran")
-    if chaos["outage_detections"] < 1:
-        failures.append("the silent group crash was never detected")
-    if chaos["breaker_opens"] < 1:
-        failures.append("the circuit breaker never opened during the flap")
-    if chaos["breaker_closes"] < 1:
-        failures.append("the circuit breaker never closed after recovery")
-    if not chaos["checkpoint_recovered"]:
-        failures.append(
-            "the corrupted checkpoint was not recovered from the rotated "
-            "last-good file"
-        )
-    if not chaos["checkpoint_version_held"]:
-        failures.append(
-            f"checkpoint recovery rewound the version "
-            f"({chaos['checkpoint_version_saved']} -> "
-            f"{chaos['checkpoint_version_restored']})"
-        )
-    if chaos["overload_hard_failures"]:
-        failures.append(
-            f"{chaos['overload_hard_failures']} hard failure(s) under "
-            "overload — rejections must be clean 503 sheds"
-        )
-    if not chaos["overload_shed_ingest"] or not chaos["overload_shed_batch"]:
-        failures.append(
-            "the stalled-worker overload never shed "
-            f"(ingest {chaos['overload_shed_ingest']}, "
-            f"batch {chaos['overload_shed_batch']})"
-        )
-    if chaos["overload_single_reads_ok"] < 2 * chaos["overload_rounds"]:
-        failures.append(
-            "single reads were shed or failed under overload "
-            f"({chaos['overload_single_reads_ok']} of "
-            f"{2 * chaos['overload_rounds']} answered) — reads are never "
-            "shed"
-        )
-    return failures
-
-
-def check_scenarios(scenarios: dict, tolerance: float) -> list:
-    """BENCH_scenario_<name>.json invariants; returns failure strings.
-
-    Every scenario gate is absolute and machine-independent: the
-    seeded event schedule and the deterministic counters do not vary
-    with hardware, so — unlike the throughput gates — the committed
-    baseline diff is *exact equality*, not a tolerance band.
-    ``tolerance`` is accepted for signature symmetry but unused.
-    """
-    del tolerance  # scenario counters are exact, not throughputs
-    failures = []
-    for name, payload in scenarios.items():
-        prefix = f"scenario {name!r}"
-        if not payload.get("schedule_match"):
-            failures.append(
-                f"{prefix}: worker modes disagreed on (or did not fully "
-                "fire) the seeded event schedule"
-            )
-        if not payload.get("counters_match", True):
-            failures.append(
-                f"{prefix}: thread and process deterministic counters "
-                "diverged — the cross-plane determinism contract broke"
-            )
-        modes = [m for m in payload.get("modes", []) if m in payload]
-        for mode in modes:
-            run = payload[mode]
-            invariants = run["invariants"]
-            availability = invariants["availability"]
-            if availability < SCENARIO_MIN_AVAILABILITY:
-                failures.append(
-                    f"{prefix} [{mode}]: availability {availability:.4%} "
-                    f"under the {SCENARIO_MIN_AVAILABILITY:.1%} floor"
-                )
-            if invariants["torn_reads"]:
-                failures.append(
-                    f"{prefix} [{mode}]: {invariants['torn_reads']} torn "
-                    "read(s) (non-finite estimates or failed snapshots)"
-                )
-            if invariants["version_rewinds"]:
-                failures.append(
-                    f"{prefix} [{mode}]: "
-                    f"{invariants['version_rewinds']} snapshot version "
-                    "rewind(s)"
-                )
-            if not run["digest_match"]:
-                failures.append(
-                    f"{prefix} [{mode}]: fired events diverged from the "
-                    "materialized schedule (digest mismatch)"
-                )
-        if not modes:
-            failures.append(f"{prefix}: no worker-mode runs in the payload")
-            continue
-        counters = payload[modes[0]]["counters"]
-        for key, floor in SCENARIO_WORKLOAD_FLOORS.get(name, ()):
-            if counters.get(key, 0) < floor:
-                failures.append(
-                    f"{prefix}: counter {key!r} is "
-                    f"{counters.get(key, 0)} (needs >= {floor}) — the "
-                    "scenario never exercised its workload"
-                )
-        for key in SCENARIO_ZERO_KEYS.get(name, ()):
-            if counters.get(key, 0):
-                failures.append(
-                    f"{prefix}: counter {key!r} is "
-                    f"{counters.get(key)} (must be 0)"
-                )
-
-        path = scenario_bench.summary_path(name)
-        if not path.exists():
-            print(f"note: no committed {path.name}; skipping diffs")
-            continue
-        committed = json.loads(path.read_text())
-        if int(committed.get("seed", -1)) != int(payload["seed"]):
-            print(
-                f"note: committed {path.name} used seed "
-                f"{committed.get('seed')}, this run used "
-                f"{payload['seed']}; skipping exact-equality diffs"
-            )
-            continue
-        gate_keys = ["schedule"] + modes
-        missing = [key for key in gate_keys if key not in committed]
-        if missing:
-            print(
-                f"note: committed {path.name} is missing gate key(s) "
-                f"{', '.join(repr(k) for k in missing)}; re-run measure "
-                "mode to refresh the baseline"
-            )
-        if "schedule" in committed:
-            committed_digest = committed["schedule"].get("digest")
-            if committed_digest != payload["schedule"]["digest"]:
-                failures.append(
-                    f"{prefix}: seeded event schedule drifted from the "
-                    f"committed baseline (digest {committed_digest} -> "
-                    f"{payload['schedule']['digest']})"
-                )
-        for mode in modes:
-            if mode not in committed:
-                continue
-            committed_counters = committed[mode].get("counters", {})
-            fresh_counters = payload[mode]["counters"]
-            drifted = sorted(
-                key
-                for key in set(committed_counters) | set(fresh_counters)
-                if committed_counters.get(key) != fresh_counters.get(key)
-            )
-            if drifted:
-                failures.append(
-                    f"{prefix} [{mode}]: deterministic counter(s) "
-                    f"{', '.join(repr(k) for k in drifted)} drifted from "
-                    "the committed baseline under the same seed"
-                )
-    return failures
-
-
-def check_obs(obs: dict, tolerance: float) -> list:
-    """BENCH_obs.json invariants; returns failure strings.
-
-    The overhead ratio is a same-run paired comparison, so — unlike
-    the throughput gates — it is absolute on every machine and there
-    is no same-core baseline diff.  ``tolerance`` is accepted for
-    signature symmetry but unused.
-    """
-    del tolerance  # the overhead ratio is same-run relative, not a diff
-    failures = []
-    overhead = obs["overhead_ratio"]
-    if overhead > obs_bench.OBS_OVERHEAD_CEILING:
-        failures.append(
-            f"instrumented ingest is {overhead:.3f}x the uninstrumented "
-            f"hot path (ceiling {obs_bench.OBS_OVERHEAD_CEILING}x)"
-        )
-    quantiles = obs.get("quantiles", {})
-    for family in obs_bench.QUANTILE_FAMILIES:
-        if "p99" not in quantiles.get(family, {}):
-            failures.append(
-                f"latency family {family!r} has no p99 in the summary — "
-                "the scrape surface lost a histogram"
-            )
-    if obs["trace_spans_started"] < 1:
-        failures.append("the traced configuration never minted a span")
-    if obs["trace_spans_completed"] < obs["trace_spans_started"]:
-        failures.append(
-            f"only {obs['trace_spans_completed']} of "
-            f"{obs['trace_spans_started']} trace spans completed — a "
-            "stage stamp went missing on the ingest pipeline"
-        )
-    return failures
-
-
-def echo_committed_notices() -> None:
-    """Print every committed baseline's skip-with-notice caveats.
-
-    Each ``BENCH_*.json`` records a ``notices`` list naming the gates
-    its measuring machine could not enforce.  ``--check`` echoes them
-    so a passing run still names what its baselines did *not* gate —
-    without this the caveats only live inside the JSON files.
-    """
-    for path in sorted(REPO_ROOT.glob("BENCH_*.json")):
+    for name, payload in fresh.items():
+        path = benchkit.out_path(name, bless=True)
         try:
             committed = json.loads(path.read_text())
-        except (OSError, ValueError):
-            continue
-        for notice in committed.get("notices", ()):
-            print(f"notice ({path.name}): {notice}")
-
-
-def check(
-    result: dict,
-    churn: dict,
-    mp: dict,
-    cluster: dict,
-    reconfig: dict,
-    chaos: dict,
-    scenarios: dict,
-    obs: dict,
-    tolerance: float,
-) -> int:
-    """Compare fresh numbers against the committed baselines.
-
-    Returns a process exit code: 0 when everything holds, 1 on any
-    regression beyond ``tolerance`` or a broken acceptance invariant.
-    """
-    echo_committed_notices()
-    failures = []
-    failures.extend(check_mp(mp, tolerance))
-    failures.extend(check_cluster(cluster, tolerance))
-    failures.extend(check_reconfig(reconfig, tolerance))
-    failures.extend(check_chaos(chaos, tolerance))
-    failures.extend(check_scenarios(scenarios, tolerance))
-    failures.extend(check_obs(obs, tolerance))
-    if SUMMARY_PATH.exists():
-        committed = json.loads(SUMMARY_PATH.read_text())
-        failures.extend(
-            diff_throughput(
-                committed,
-                result,
-                THROUGHPUT_KEYS,
-                tolerance,
-                SUMMARY_PATH.name,
+        except (OSError, ValueError) as exc:
+            failures.append(
+                f"{path.name}: committed baseline missing or unreadable "
+                f"({exc}); re-run with --bless"
             )
-        )
-    else:
-        print(f"note: no committed {SUMMARY_PATH.name}; skipping diffs")
-
-    if CHURN_SUMMARY_PATH.exists():
-        committed = json.loads(CHURN_SUMMARY_PATH.read_text())
-        failures.extend(
-            diff_throughput(
-                committed,
-                churn,
-                CHURN_THROUGHPUT_KEYS,
-                tolerance,
-                CHURN_SUMMARY_PATH.name,
-            )
-        )
-        missing_latency = [
-            key for key in CHURN_LATENCY_KEYS if key not in committed
+            committed = None
+        else:
+            report(name, payload, committed)
+            for notice in committed.get("notices", ()):
+                print(f"notice ({path.name}): {notice}")
+        failures += [
+            f"BENCH_{name}: {failure}"
+            for failure in benchkit.evaluate(name, payload, committed)
         ]
-        if missing_latency:
-            print(
-                f"note: committed {CHURN_SUMMARY_PATH.name} is missing "
-                "gate key(s) "
-                f"{', '.join(repr(k) for k in missing_latency)}; re-run "
-                "measure mode to refresh the baseline"
-            )
-        for key in CHURN_LATENCY_KEYS:
-            if key not in committed:
-                continue
-            ceiling = (
-                (1.0 + 3.0 * tolerance) * float(committed[key])
-                + CHURN_LATENCY_SLACK_MS
-            )
-            if churn[key] > ceiling:
-                failures.append(
-                    f"{key}: measured {churn[key]:.2f} ms > ceiling "
-                    f"{ceiling:.2f} ms (committed {float(committed[key]):.2f})"
-                )
-    else:
-        print(f"note: no committed {CHURN_SUMMARY_PATH.name}; skipping diffs")
+    return failures
 
-    # acceptance invariants (absolute, not relative to the baseline)
-    speedup = result["coalesced_answer_speedup"]
-    if speedup < 5.0:
-        failures.append(
-            f"coalesced answer path only {speedup:.1f}x the per-request "
-            "path (needs >= 5x)"
-        )
-    sharded_mps = result["ingest_shards4_mps"]
-    machine = min(
-        1.0, result["ingest_shards1_mps"] / PR3_SINGLE_REFERENCE_MPS
-    )
-    floor = 2.0 * PR2_GUARDED_ADMISSION_MPS * machine
-    if sharded_mps < floor:
-        failures.append(
-            f"guarded admission at 4 shards is {sharded_mps:,.0f} mps, "
-            f"under 2x the PR 2 baseline "
-            f"({floor:,.0f} after x{machine:.2f} machine calibration)"
-        )
-    availability = churn["query_availability_during_churn"]
-    if availability < CHURN_MIN_AVAILABILITY:
-        failures.append(
-            f"query availability under churn is {availability:.4%}, "
-            f"under the {CHURN_MIN_AVAILABILITY:.1%} floor"
-        )
 
-    if failures:
-        print("REGRESSION CHECK FAILED:")
-        for failure in failures:
-            print(f"  - {failure}")
-        return 1
-    print(f"regression check passed (tolerance {tolerance:.0%})")
-    return 0
+def bless(fresh: dict) -> None:
+    """Stamp and write every payload as the committed baseline."""
+    sys.path.insert(0, str(benchkit.REPO_ROOT / "perfbench"))
+    # imported here only: importing perfbench/run.py pins the process's
+    # OPENBLAS_NUM_THREADS, which must not touch the measurements
+    from run import machine_stamp
+
+    for name, payload in fresh.items():
+        payload["machine"] = machine_stamp(payload.get("seed"))
+        print(f"blessed {benchkit.write(name, payload, bless=True)}")
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        description="serving scale-out benchmark + regression gate"
-    )
-    parser.add_argument(
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument(
         "--check",
         action="store_true",
-        help="compare against the committed BENCH_scaleout.json and exit "
-        "non-zero on regression (the committed file is not rewritten)",
+        help="also gate against the committed BENCH_*.json baselines",
     )
-    parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.25,
-        help="allowed fractional regression in --check mode (default 0.25)",
+    mode.add_argument(
+        "--bless",
+        action="store_true",
+        help="write the repo-root BENCH_*.json baselines if every gate "
+        "passes",
     )
     args = parser.parse_args(argv)
 
-    result = run()
-    print(format_result(result))
-    churn = churn_bench.run()
-    print(
-        format_table(
-            churn_bench.format_rows(churn), headers=["churn", "value"]
-        )
-    )
-    mp = mp_bench.run()
-    print(format_table(mp_bench.format_rows(mp), headers=["mp", "value"]))
-    cluster = cluster_bench.run()
-    print(
-        format_table(
-            cluster_bench.format_rows(cluster), headers=["cluster", "value"]
-        )
-    )
-    reconfig = reconfig_bench.run()
-    print(
-        format_table(
-            reconfig_bench.format_rows(reconfig),
-            headers=["reconfig", "value"],
-        )
-    )
-    chaos = chaos_bench.run()
-    print(
-        format_table(
-            chaos_bench.format_rows(chaos), headers=["chaos", "value"]
-        )
-    )
-    scenarios = scenario_bench.run()
-    for payload in scenarios.values():
-        print(format_scenario_rows(payload))
-    obs = obs_bench.run()
-    print(
-        format_table(obs_bench.format_rows(obs), headers=["obs", "value"])
-    )
+    fresh = measure()
     if args.check:
-        return check(
-            result,
-            churn,
-            mp,
-            cluster,
-            reconfig,
-            chaos,
-            scenarios,
-            obs,
-            args.tolerance,
-        )
-    SUMMARY_PATH.write_text(json.dumps(result, indent=2) + "\n")
-    print(f"wrote {SUMMARY_PATH}")
-    CHURN_SUMMARY_PATH.write_text(json.dumps(churn, indent=2) + "\n")
-    print(f"wrote {CHURN_SUMMARY_PATH}")
-    MP_SUMMARY_PATH.write_text(json.dumps(mp, indent=2) + "\n")
-    print(f"wrote {MP_SUMMARY_PATH}")
-    CLUSTER_SUMMARY_PATH.write_text(json.dumps(cluster, indent=2) + "\n")
-    print(f"wrote {CLUSTER_SUMMARY_PATH}")
-    RECONFIG_SUMMARY_PATH.write_text(json.dumps(reconfig, indent=2) + "\n")
-    print(f"wrote {RECONFIG_SUMMARY_PATH}")
-    CHAOS_SUMMARY_PATH.write_text(json.dumps(chaos, indent=2) + "\n")
-    print(f"wrote {CHAOS_SUMMARY_PATH}")
-    OBS_SUMMARY_PATH.write_text(json.dumps(obs, indent=2) + "\n")
-    print(f"wrote {OBS_SUMMARY_PATH}")
-    for name, payload in scenarios.items():
-        path = scenario_bench.summary_path(name)
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        print(f"wrote {path}")
+        failures = check(fresh)
+    else:
+        failures = [
+            f"BENCH_{name}: {failure}"
+            for name, payload in fresh.items()
+            for failure in benchkit.evaluate(name, payload)
+        ]
+    for name, payload in fresh.items():
+        for notice in payload.get("notices", ()):
+            print(f"notice (fresh BENCH_{name}): {notice}")
+        benchkit.write(name, payload)
+    print(f"wrote {len(fresh)} fresh payloads under .bench_out/")
+    if failures:
+        print("GATE CHECK FAILED:")
+        for failure in failures:
+            print(f"  - {failure}")
+        return 1
+    if args.bless:
+        bless(fresh)
+    print("gate check passed")
     return 0
 
 

@@ -1,9 +1,9 @@
 """Process-per-shard ingest benchmark (shared measurement module).
 
-Used by ``benchmarks/test_mp_scaleout.py`` (tier-1, writes
-``BENCH_mp.json``) and by ``benchmarks/compare.py --check`` (the CI
-regression gate).  Measures the guarded-admission stream — the same
-duplicate-heavy traffic as ``BENCH_ingest.json`` — through:
+Used by ``benchmarks/test_mp_scaleout.py`` (tier-1) and by
+``benchmarks/compare.py`` (``BENCH_mp.json``).  Measures the
+guarded-admission stream — the same duplicate-heavy traffic as
+``BENCH_ingest.json`` — through:
 
 * the single-process single-store :class:`IngestPipeline` (the
   GIL-bound baseline every scale-out number is judged against);
@@ -16,9 +16,9 @@ process-store estimates must be **bitwise identical** to the
 thread-mode sharded store for the same factors.
 
 The 1.5x throughput floor only means something when there are cores to
-parallelize over, so the result carries ``cores``;
-``compare.py --check`` enforces the floor on >= 4 cores and
-skips-with-notice below that.
+parallelize over, so the result carries ``cpu_count``; the gate table
+(``benchkit.GATES["mp"]``) enforces the floor on >= 4 cores and
+records a notice below that.
 """
 
 from __future__ import annotations
@@ -26,70 +26,31 @@ from __future__ import annotations
 import os
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "src"))
-
-from repro.core.config import DMFSGDConfig  # noqa: E402
-from repro.core.engine import DMFSGDEngine, EngineSpec, null_label_fn  # noqa: E402
-from repro.serving.guard import (  # noqa: E402
-    AdmissionGuard,
-    RobustSigmaFilter,
-    TokenBucketRateLimiter,
-)
-from repro.serving.ingest import IngestPipeline  # noqa: E402
-from repro.serving.procs import (  # noqa: E402
+import benchkit
+from benchkit import NODES, SAMPLES
+from repro.core.engine import EngineSpec
+from repro.serving.ingest import IngestPipeline
+from repro.serving.procs import (
     ProcessShardedIngest,
     ProcessShardedStore,
     WorkerSpec,
     WorkerSupervisor,
 )
-from repro.serving.shard import ShardedCoordinateStore  # noqa: E402
-from repro.serving.store import CoordinateStore  # noqa: E402
+from repro.serving.shard import ShardedCoordinateStore
+from repro.serving.store import CoordinateStore
 
 SEED = 20111206
-NODES = 500
 RANK = 10
-SAMPLES = 40_000
 BATCH = 1024
-HOT_FRACTION = 0.3
 MP_SHARDS = 4
-SUMMARY_PATH = REPO_ROOT / "BENCH_mp.json"
-
-#: the acceptance floor: mp throughput vs single-process guarded
-#: admission, enforced only on machines with at least this many cores
-MP_SPEEDUP_FLOOR = 1.5
-MP_MIN_CORES = 4
-
-
-def _stream(rng):
-    """The ingest-guard bench's duplicate-heavy admission stream."""
-    sources = rng.integers(0, NODES, size=SAMPLES)
-    targets = (sources + 1 + rng.integers(0, NODES - 1, size=SAMPLES)) % NODES
-    hot = rng.random(SAMPLES) < HOT_FRACTION
-    sources[hot], targets[hot] = 3, 7
-    values = rng.choice([-1.0, 1.0], size=SAMPLES)
-    return sources, targets, values
-
-
-def _engine(seed=1):
-    config = DMFSGDConfig(neighbors=8)
-    return DMFSGDEngine(NODES, null_label_fn, config, rng=seed)
-
-
-def _guard():
-    return AdmissionGuard(
-        rate_limiter=TokenBucketRateLimiter(1e9, 1e9),
-        filters=[RobustSigmaFilter(sigma=6.0)],
-    )
 
 
 def bench_single(sources, targets, values) -> float:
     """Single-process guarded admission (the GIL-bound baseline)."""
-    engine = _engine()
+    engine = benchkit.engine()
     store = CoordinateStore(engine.coordinates)
     pipeline = IngestPipeline(
         engine,
@@ -97,7 +58,7 @@ def bench_single(sources, targets, values) -> float:
         batch_size=BATCH,
         refresh_interval=10 * BATCH,
         step_clip=0.1,
-        guard=_guard(),
+        guard=benchkit.guard(),
     )
     start = time.perf_counter()
     for lo in range(0, SAMPLES, BATCH):
@@ -112,14 +73,14 @@ def bench_single(sources, targets, values) -> float:
 
 def bench_mp(sources, targets, values, shards=MP_SHARDS) -> float:
     """Guarded admission through ``shards`` worker processes."""
-    engine = _engine()
+    engine = benchkit.engine()
     store = ProcessShardedStore.create(engine.coordinates, shards=shards)
     spec = WorkerSpec(
         engine=EngineSpec.from_engine(engine, seed=1),
         batch_size=BATCH,
         refresh_interval=10 * BATCH,
         step_clip=0.1,
-        guards=[_guard() for _ in range(shards)],
+        guards=[benchkit.guard() for _ in range(shards)],
     )
     supervisor = WorkerSupervisor(
         store, spec, queue_depth=256, monitor=False, command_timeout=120.0
@@ -164,26 +125,17 @@ def check_read_parity(rng) -> bool:
 
 def run() -> dict:
     rng = np.random.default_rng(SEED)
-    sources, targets, values = _stream(rng)
-    cores = os.cpu_count() or 1
+    sources, targets, values = benchkit.stream(rng)
     single = bench_single(sources.copy(), targets.copy(), values.copy())
     mp = bench_mp(sources.copy(), targets.copy(), values.copy())
-    # the committed JSON names the gates this machine could not enforce
-    notices = []
-    if cores < MP_MIN_CORES:
-        notices.append(
-            f"{cores} core(s) < {MP_MIN_CORES}: the {MP_SPEEDUP_FLOOR}x mp "
-            "speedup floor was not enforced on this machine"
-        )
     return {
-        "cpu_count": cores,
-        "notices": notices,
+        "cpu_count": os.cpu_count() or 1,
+        "notices": [],
         "nodes": NODES,
         "rank": RANK,
         "samples": SAMPLES,
-        "hot_fraction": HOT_FRACTION,
+        "hot_fraction": benchkit.HOT_FRACTION,
         "seed": SEED,
-        "cores": cores,
         "mp_shards": MP_SHARDS,
         "guarded_admission_single_mps": single,
         "mp_shards4_mps": mp,
@@ -194,7 +146,7 @@ def run() -> dict:
 
 def format_rows(result: dict) -> list:
     return [
-        ["cores", str(result["cores"])],
+        ["cores", str(result["cpu_count"])],
         [
             "guarded admission, 1 process",
             f"{result['guarded_admission_single_mps']:,.0f} mps",
@@ -211,17 +163,5 @@ def format_rows(result: dict) -> list:
     ]
 
 
-def main() -> int:  # pragma: no cover - manual invocation
-    import json
-
-    from repro.utils.tables import format_table
-
-    result = run()
-    print(format_table(format_rows(result), headers=["mp", "value"]))
-    SUMMARY_PATH.write_text(json.dumps(result, indent=2) + "\n")
-    print(f"wrote {SUMMARY_PATH}")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+if __name__ == "__main__":  # pragma: no cover - manual invocation
+    sys.exit(benchkit.main("mp", run, format_rows))

@@ -1,18 +1,18 @@
 """Telemetry overhead benchmark (shared measurement module).
 
-Used by ``benchmarks/test_obs_smoke.py`` (tier-1, writes
-``BENCH_obs.json``) and by ``benchmarks/compare.py --check`` (the CI
-regression gate).  Prices the observability plane on the ingest hot
-path — the same duplicate-heavy stream as ``BENCH_scaleout.json``
-through a 2-shard :class:`~repro.serving.shard.ShardedIngest` — in
-three configurations:
+Used by ``benchmarks/test_obs_smoke.py`` (tier-1) and by
+``benchmarks/compare.py`` (``BENCH_obs.json``).  Prices the
+observability plane on the ingest hot path — the same duplicate-heavy
+stream as ``BENCH_scaleout.json`` through a 2-shard
+:class:`~repro.serving.shard.ShardedIngest` — in three
+configurations:
 
 * **uninstrumented** — no registry bound: chunks carry no metadata and
   every telemetry hook is one ``is None`` branch;
 * **instrumented** — a :class:`~repro.obs.metrics.MetricsRegistry`
   bound (queue-wait + apply latency histograms recorded per chunk),
   tracing still off.  The acceptance gate: this must stay within
-  ``OBS_OVERHEAD_CEILING`` (5%) of the uninstrumented run;
+  5% of the uninstrumented run;
 * **traced** — registry bound *and* the module-global tracer armed,
   one span minted per submitted batch (the gateway's behaviour),
   recorded for the books.
@@ -28,9 +28,9 @@ takes the median ratio over ``TRIALS``.  A same-run comparison on one
 machine, so the gate is absolute — no core-count calibration.
 
 The instrumented run's quantile summary (what ``/stats`` serves as
-``obs``) is committed too; ``--check`` requires the p99 keys to be
-present so the scrape surface cannot silently lose its latency
-families.
+``obs``) is committed too; the gate table requires every quantile of
+``benchkit.QUANTILE_FAMILIES`` so the scrape surface cannot silently
+lose its latency families.
 """
 
 from __future__ import annotations
@@ -38,61 +38,26 @@ from __future__ import annotations
 import os
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "src"))
-
-from repro.core.config import DMFSGDConfig  # noqa: E402
-from repro.core.engine import DMFSGDEngine, null_label_fn  # noqa: E402
-from repro.obs import MetricsRegistry  # noqa: E402
-from repro.obs import tracing  # noqa: E402
-from repro.serving.shard import (  # noqa: E402
-    ShardedCoordinateStore,
-    ShardedIngest,
-)
+import benchkit
+from benchkit import NODES, QUANTILE_FAMILIES
+from repro.obs import MetricsRegistry
+from repro.obs import tracing
+from repro.serving.shard import ShardedCoordinateStore, ShardedIngest
 
 SEED = 20111206
-NODES = 500
 RANK = 10
 SAMPLES = 120_000
 BATCH = 1024
-HOT_FRACTION = 0.3
 SHARDS = 2
 TRIALS = 5
-SUMMARY_PATH = REPO_ROOT / "BENCH_obs.json"
-
-#: the acceptance ceiling: instrumented ingest vs uninstrumented,
-#: median of TRIALS batch-interleaved paired ratios (absolute gate)
-OBS_OVERHEAD_CEILING = 1.05
-
-#: histogram families whose p99 keys --check requires in the summary
-QUANTILE_FAMILIES = (
-    "repro_ingest_queue_wait_seconds",
-    "repro_ingest_apply_seconds",
-)
-
-
-def _stream(rng):
-    """The ingest-guard bench's duplicate-heavy admission stream."""
-    sources = rng.integers(0, NODES, size=SAMPLES)
-    targets = (sources + 1 + rng.integers(0, NODES - 1, size=SAMPLES)) % NODES
-    hot = rng.random(SAMPLES) < HOT_FRACTION
-    sources[hot], targets[hot] = 3, 7
-    values = rng.choice([-1.0, 1.0], size=SAMPLES)
-    return sources, targets, values
-
-
-def _engine(seed=1):
-    config = DMFSGDConfig(neighbors=8)
-    return DMFSGDEngine(NODES, null_label_fn, config, rng=seed)
 
 
 def _inline_ingest(registry=None) -> ShardedIngest:
     """A closed (worker-less) sharded ingest: submits apply inline."""
-    engine = _engine()
+    engine = benchkit.engine()
     store = ShardedCoordinateStore(engine.coordinates, shards=SHARDS)
     ingest = ShardedIngest(
         engine,
@@ -163,7 +128,7 @@ def bench_traced(sources, targets, values, registry) -> dict:
 
 def run() -> dict:
     rng = np.random.default_rng(SEED)
-    sources, targets, values = _stream(rng)
+    sources, targets, values = benchkit.stream(rng, SAMPLES)
     registry = MetricsRegistry()
 
     plain_s = []
@@ -186,7 +151,7 @@ def run() -> dict:
         "nodes": NODES,
         "rank": RANK,
         "samples": SAMPLES,
-        "hot_fraction": HOT_FRACTION,
+        "hot_fraction": benchkit.HOT_FRACTION,
         "seed": SEED,
         "shards": SHARDS,
         "trials": TRIALS,
@@ -234,17 +199,5 @@ def format_rows(result: dict) -> list:
     return rows
 
 
-def main() -> int:  # pragma: no cover - manual invocation
-    import json
-
-    from repro.utils.tables import format_table
-
-    result = run()
-    print(format_table(format_rows(result), headers=["obs", "value"]))
-    SUMMARY_PATH.write_text(json.dumps(result, indent=2) + "\n")
-    print(f"wrote {SUMMARY_PATH}")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+if __name__ == "__main__":  # pragma: no cover - manual invocation
+    sys.exit(benchkit.main("obs", run, format_rows))

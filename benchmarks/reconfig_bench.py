@@ -1,12 +1,11 @@
 """Live-topology benchmark (shared measurement module).
 
-Used by ``benchmarks/test_reconfig_smoke.py`` (tier-1, writes
-``BENCH_reconfig.json``) and by ``benchmarks/compare.py --check`` (the
-CI regression gate).  Since PR 9 the measurements themselves live in
-:mod:`repro.scenarios.flashcrowd` — the flash-crowd workload is part
-of the scenario matrix (``repro bench --scenario flash_crowd``) and
-this module is the thin wrapper that keeps the historical
-``BENCH_reconfig.json`` keys stable:
+Used by ``benchmarks/test_reconfig_smoke.py`` (tier-1) and by
+``benchmarks/compare.py`` (``BENCH_reconfig.json``).  The
+measurements themselves live in :mod:`repro.scenarios.flashcrowd` —
+the flash-crowd workload is part of the scenario matrix
+(``repro bench --scenario flash_crowd``) and this module is the thin
+wrapper that keeps the historical ``BENCH_reconfig.json`` keys stable:
 
 * **flash crowd under autopilot**
   (:func:`repro.scenarios.flashcrowd.autopilot_flash_crowd`) — the
@@ -24,10 +23,8 @@ from __future__ import annotations
 
 import os
 import sys
-from pathlib import Path
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "src"))
+import benchkit  # puts src/ on sys.path
 
 from repro.scenarios.flashcrowd import (  # noqa: E402
     FLASH_POLICY,
@@ -45,13 +42,6 @@ BURST = 512
 QUEUE_DEPTH = 16
 BURST_DEADLINE_S = 10.0
 SETTLE_DEADLINE_S = 10.0
-SUMMARY_PATH = REPO_ROOT / "BENCH_reconfig.json"
-
-#: acceptance floor: snapshot reads answered while the autopilot
-#: splits and merges under the flash crowd.  Machine-independent —
-#: reads are epoch-atomic in-process gathers and must never observe a
-#: topology transition at all.
-RECONFIG_MIN_AVAILABILITY = 0.999
 
 
 def bench_flash_crowd() -> dict:
@@ -76,16 +66,11 @@ def bench_transition_latency() -> dict:
 
 
 def run() -> dict:
-    cores = os.cpu_count() or 1
     result = {
         "nodes": NODES,
         "rank": RANK,
         "seed": SEED,
-        "cores": cores,
-        "cpu_count": cores,
-        # every reconfig gate (availability floor, split/merge
-        # behaviour, parity, version monotonicity) is enforced on any
-        # machine — nothing to skip
+        "cpu_count": os.cpu_count() or 1,
         "notices": [],
         "policy": FLASH_POLICY.as_dict(),
     }
@@ -96,7 +81,7 @@ def run() -> dict:
 
 def format_rows(result: dict) -> list:
     return [
-        ["cores", str(result["cores"])],
+        ["cores", str(result["cpu_count"])],
         [
             "autopilot splits / merges under burst",
             f"{result['autopilot_splits']} / {result['autopilot_merges']}",
@@ -140,17 +125,5 @@ def format_rows(result: dict) -> list:
     ]
 
 
-def main() -> int:  # pragma: no cover - manual invocation
-    import json
-
-    from repro.utils.tables import format_table
-
-    result = run()
-    print(format_table(format_rows(result), headers=["reconfig", "value"]))
-    SUMMARY_PATH.write_text(json.dumps(result, indent=2) + "\n")
-    print(f"wrote {SUMMARY_PATH}")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+if __name__ == "__main__":  # pragma: no cover - manual invocation
+    sys.exit(benchkit.main("reconfig", run, format_rows))

@@ -2,9 +2,9 @@
 
 Runs every named scenario (:mod:`repro.scenarios.library`) through the
 thread plane *and* the process plane with the shared bench seed, and
-writes one JSON document per scenario via
+returns one JSON document per scenario via
 :mod:`repro.scenarios.benchio`.  The documents are gated by
-``compare.py --check``:
+``benchkit.GATES["scenario_<name>"]``:
 
 * ``schedule_match`` — both planes materialized (and fully fired) the
   identical seeded event schedule (digest equality);
@@ -13,7 +13,9 @@ writes one JSON document per scenario via
 * per-mode standing invariants — availability >= 99.9%, zero torn
   reads, zero version rewinds;
 * per-scenario workload assertions (the hot pair rotated, the drift
-  stepped, the guard shed the poison, the churn applied, ...).
+  stepped, the guard shed the poison, the churn applied, ...);
+* against the committed baseline: the seed, the schedule digest and
+  every mode's counters match exactly.
 
 ``repro bench --scenario NAME`` writes the same document shape for a
 single scenario (plus ``--autopilot`` / ``--cluster`` extras).
@@ -22,11 +24,9 @@ single scenario (plus ``--autopilot`` / ``--cluster`` extras).
 from __future__ import annotations
 
 import sys
-from pathlib import Path
 from typing import Dict, Optional, Sequence
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "src"))
+import benchkit  # puts src/ on sys.path
 
 from repro.scenarios import scenario_names  # noqa: E402
 from repro.scenarios.benchio import (  # noqa: E402
@@ -36,35 +36,29 @@ from repro.scenarios.benchio import (  # noqa: E402
 
 SEED = 20111206
 
-#: the worker-mode matrix every scenario is priced under
-MODES = ("threads", "processes")
-
-
-def summary_path(name: str) -> Path:
-    """The committed location of one scenario's bench document."""
-    return REPO_ROOT / f"BENCH_scenario_{name}.json"
-
 
 def run(names: Optional[Sequence[str]] = None) -> Dict[str, dict]:
     """Run the matrix; returns ``{scenario_name: payload}`` in order."""
     results: Dict[str, dict] = {}
     for name in names if names is not None else scenario_names():
-        results[name] = bench_scenario(name, seed=SEED, modes=MODES)
+        results[name] = bench_scenario(
+            name, seed=SEED, modes=benchkit.SCENARIO_MODES
+        )
     return results
 
 
 def main() -> int:  # pragma: no cover - manual invocation
-    import json
-
-    results = run()
-    for name, payload in results.items():
+    failures = []
+    for name, payload in run().items():
         print(format_scenario_rows(payload))
-        path = summary_path(name)
-        path.write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        )
-        print(f"wrote {path}")
-    return 0
+        bench = f"scenario_{name}"
+        failures += [
+            f"{bench}: {f}" for f in benchkit.evaluate(bench, payload)
+        ]
+        print(f"wrote {benchkit.write(bench, payload)}")
+    for failure in failures:
+        print(f"GATE FAILED: {failure}")
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":  # pragma: no cover

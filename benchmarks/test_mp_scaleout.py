@@ -2,21 +2,19 @@
 
 Prices the tentpole of the process-mode work: the guarded-admission
 stream through 4 worker processes vs the single-process (GIL-bound)
-pipeline, plus the read-parity acceptance bit.  The measured numbers
-land in ``BENCH_mp.json``; ``benchmarks/compare.py --check`` gates on
-them (mp throughput >= 1.5x single on >= 4 cores, skip-with-notice on
-fewer — a 1-core container cannot parallelize anything and only pays
-the IPC tax).
+pipeline, plus the read-parity acceptance bit, gated by
+``benchkit.GATES["mp"]`` (mp throughput >= 1.5x single on >= 4 cores,
+skip-with-notice on fewer — a 1-core container cannot parallelize
+anything and only pays the IPC tax).
 
 Runs in tier-1 (``mp_smoke``): one 40k-sample sweep per mode, a few
 seconds end to end.
 """
 
-import json
-
 import pytest
 
 import mp_bench
+from benchkit import evaluate, write
 
 pytestmark = pytest.mark.mp_smoke
 
@@ -31,20 +29,6 @@ def test_mp_scaleout_benchmark(report, run_once):
         format_table(mp_bench.format_rows(result), headers=["mp", "value"]),
     )
 
-    mp_bench.SUMMARY_PATH.write_text(json.dumps(result, indent=2) + "\n")
-
-    # the acceptance invariants that hold on ANY machine:
-    assert result["read_parity_bitwise"] is True
-    assert result["guarded_admission_single_mps"] > 0
-    assert result["mp_shards4_mps"] > 0
-    # the 1.5x floor needs cores to parallelize over; on smaller
-    # machines the number is recorded (with the core count) and the
-    # floor is enforced by compare.py --check only when cores >= 4
-    if result["cores"] >= mp_bench.MP_MIN_CORES:
-        assert (
-            result["mp_speedup"] >= mp_bench.MP_SPEEDUP_FLOOR
-        ), (
-            f"mp throughput only {result['mp_speedup']:.2f}x the single "
-            f"process on {result['cores']} cores "
-            f"(floor {mp_bench.MP_SPEEDUP_FLOOR}x)"
-        )
+    failures = evaluate("mp", result)
+    write("mp", result)
+    assert not failures, failures

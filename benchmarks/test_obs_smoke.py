@@ -12,11 +12,10 @@ Runs in tier-1 (``obs_smoke``): a few interleaved passes of the
 standard admission stream, well under a minute.
 """
 
-import json
-
 import pytest
 
 import obs_bench
+from benchkit import evaluate, write
 
 pytestmark = pytest.mark.obs_smoke
 
@@ -33,22 +32,6 @@ def test_obs_benchmark(report, run_once):
         ),
     )
 
-    obs_bench.SUMMARY_PATH.write_text(json.dumps(result, indent=2) + "\n")
-
-    # the acceptance ceiling: instrumented ingest within 5% of plain
-    assert result["overhead_ratio"] <= obs_bench.OBS_OVERHEAD_CEILING, (
-        f"instrumented ingest is {result['overhead_ratio']:.3f}x the "
-        f"uninstrumented hot path (ceiling "
-        f"{obs_bench.OBS_OVERHEAD_CEILING}x)"
-    )
-    # both latency families surfaced quantiles with observations
-    for family in obs_bench.QUANTILE_FAMILIES:
-        entry = result["quantiles"][family]
-        assert entry["count"] > 0, f"{family} recorded nothing"
-        assert "p99" in entry and "p999" in entry
-        assert entry["p50"] <= entry["p95"] <= entry["p99"] <= entry["p999"]
-    # tracing completed every span end to end
-    assert result["trace_spans_started"] > 0
-    assert (
-        result["trace_spans_completed"] == result["trace_spans_started"]
-    ), "a stage stamp went missing on the ingest pipeline"
+    failures = evaluate("obs", result)
+    write("obs", result)
+    assert not failures, failures

@@ -9,18 +9,16 @@ are epoch-atomic and must never observe a reconfig), versions never
 rewinding, and bitwise factor parity across direct split/merge round
 trips in both worker modes.
 
-The availability floor is enforced *here* on every machine;
-``benchmarks/compare.py --check`` re-gates the committed numbers.
+Every gate (``benchkit.GATES["reconfig"]``) holds on any machine.
 
 Runs in tier-1 (``reconfig_smoke``): one ~3 s flash-crowd window plus
 eight timed direct transitions (four thread, four process).
 """
 
-import json
-
 import pytest
 
 import reconfig_bench
+from benchkit import evaluate, write
 
 pytestmark = pytest.mark.reconfig_smoke
 
@@ -37,25 +35,6 @@ def test_reconfig_benchmark(report, run_once):
         ),
     )
 
-    reconfig_bench.SUMMARY_PATH.write_text(json.dumps(result, indent=2) + "\n")
-
-    # machine-independent acceptance invariants:
-    # the autopilot really acted — split under the burst, merged after
-    assert result["autopilot_splits"] >= 1, "no split under the flash crowd"
-    assert result["autopilot_merges"] >= 1, "no merge after the burst"
-    assert result["peak_shards"] > 1
-    assert result["final_shards"] == reconfig_bench.FLASH_POLICY.min_shards
-    assert result["autopilot_errors"] == 0
-    # reads never observe a transition
-    availability = result["query_availability_during_reconfig"]
-    assert availability >= reconfig_bench.RECONFIG_MIN_AVAILABILITY, (
-        f"availability {availability:.4%} under the "
-        f"{reconfig_bench.RECONFIG_MIN_AVAILABILITY:.1%} floor"
-    )
-    assert result["queries_answered_during_reconfig"] > 0
-    assert result["version_rewinds_observed"] == 0
-    # re-striding is copy, not recompute — bitwise, both worker modes
-    assert result["thread_parity_bitwise"] is True
-    assert result["process_parity_bitwise"] is True
-    assert result["thread_version_monotone"] is True
-    assert result["process_version_monotone"] is True
+    failures = evaluate("reconfig", result)
+    write("reconfig", result)
+    assert not failures, failures

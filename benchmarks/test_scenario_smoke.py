@@ -9,39 +9,29 @@ the engine's standing contract on every machine:
   fired* (``digest_match`` — the executed digest equals the schedule
   digest);
 * two in-process runs under the same seed produce bitwise-identical
-  deterministic counters (the property ``compare.py --check`` extends
-  across the thread and process planes);
+  deterministic counters and executed digests (the property
+  ``compare.py --check`` extends across the thread and process planes
+  and to the committed baselines);
 * the standing invariants hold — availability >= 99.9%, zero torn
   reads, versions never rewind;
 * the workload demonstrably happened (rotations fired, churn applied
   with zero failures).
 
-The full matrix (all six scenarios, thread *and* process planes) runs
-in ``benchmarks/scenario_bench.py`` / ``repro bench`` and is gated by
-``compare.py --check``.
+Both tests evaluate the run gates of ``benchkit.GATES`` — the same
+table ``compare.py --check`` applies to every worker mode of the full
+matrix (all six scenarios, thread *and* process planes).
 """
 
 import pytest
 
-from repro.scenarios import MIN_AVAILABILITY, get_scenario, run_scenario
+from benchkit import evaluate
+from repro.scenarios import get_scenario, run_scenario
 
 import scenario_bench
 
 pytestmark = pytest.mark.scenario_smoke
 
 SEED = scenario_bench.SEED
-
-
-def _assert_invariants(payload: dict) -> None:
-    invariants = payload["invariants"]
-    assert invariants["ok"], invariants
-    assert invariants["availability"] >= MIN_AVAILABILITY, (
-        f"availability {invariants['availability']:.4%} under the "
-        f"{MIN_AVAILABILITY:.1%} floor"
-    )
-    assert invariants["torn_reads"] == 0
-    assert invariants["version_rewinds"] == 0
-    assert payload["digest_match"], "schedule was not fully fired"
 
 
 def test_diurnal_shortest_phase(report, run_once):
@@ -59,16 +49,14 @@ def test_diurnal_shortest_phase(report, run_once):
         f"avail={payload['invariants']['availability']:.4f}",
     )
 
-    _assert_invariants(payload)
     # the dawn traffic really drove the hot pair and rotated it
-    assert payload["counters"]["rotations"] >= 1
-    assert payload["counters"]["hot_fed"] >= 1
-    assert payload["counters"]["applied"] >= 1
+    failures = evaluate("scenario_diurnal_run", payload)
+    assert not failures, failures
 
     # determinism: a second in-process run is bitwise-identical
     again = run_scenario(slice_, workers="threads", seed=SEED)
-    assert again["schedule"]["digest"] == payload["schedule"]["digest"]
-    assert again["counters"] == payload["counters"]
+    failures = evaluate("scenario_diurnal_run", again, committed=payload)
+    assert not failures, failures
 
 
 def test_churn_storm_thread_plane(report, run_once):
@@ -84,12 +72,6 @@ def test_churn_storm_thread_plane(report, run_once):
         f"avail={payload['invariants']['availability']:.4f}",
     )
 
-    _assert_invariants(payload)
-    # the storm really churned: every scheduled leave and join applied
-    assert counters["leaves"] == 8
-    assert counters["joins"] == 8
-    assert counters["churn_applied"] == 16
-    assert counters["churn_failures"] == 0
-    # ingest kept routing around the tombstones without corruption
-    assert counters["applied"] >= 1
-    assert counters["dropped_membership"] >= 1
+    # every scheduled leave and join applied; ingest kept routing
+    failures = evaluate("scenario_churn_storm_run", payload)
+    assert not failures, failures

@@ -506,7 +506,10 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--output",
         default=None,
-        help="output JSON path (default: BENCH_scenario_<name>.json)",
+        help=(
+            "output JSON path "
+            "(default: .bench_out/BENCH_scenario_<name>.json)"
+        ),
     )
     bench.add_argument(
         "--autopilot",
@@ -785,6 +788,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     import json
+    import os
 
     from repro.scenarios import scenario_names
     from repro.scenarios.benchio import bench_scenario, format_scenario_rows
@@ -816,7 +820,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         print(str(exc), file=sys.stderr)
         return 2
     print(format_scenario_rows(payload))
-    output = args.output or f"BENCH_scenario_{args.scenario}.json"
+    output = args.output
+    if output is None:
+        # not the CWD: at the repo root BENCH_*.json are gate baselines
+        os.makedirs(".bench_out", exist_ok=True)
+        output = os.path.join(
+            ".bench_out", f"BENCH_scenario_{args.scenario}.json"
+        )
     with open(output, "w") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")

@@ -197,3 +197,23 @@ class TestCommands:
         code = main(["report", "--only", "fig99", "--output", str(output)])
         assert code == 2
         assert not output.exists()
+
+    def test_bench_default_output_is_bench_out(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # a stand-in for the minutes-long scenario run: the CLI's own
+        # output handling is what is under test
+        import repro.scenarios.benchio as benchio
+
+        def fake_bench(name, **kwargs):
+            return {"scenario": name, "seed": kwargs["seed"], "ticks": 1,
+                    "guard": "none", "schedule_match": True}
+
+        monkeypatch.setattr(benchio, "bench_scenario", fake_bench)
+        monkeypatch.chdir(tmp_path)
+        code = main(["bench", "--scenario", "diurnal", "--workers", "threads"])
+        assert code == 0
+        written = tmp_path / ".bench_out" / "BENCH_scenario_diurnal.json"
+        assert written.exists()
+        assert not (tmp_path / "BENCH_scenario_diurnal.json").exists()
+        assert str(written.relative_to(tmp_path)) in capsys.readouterr().out
