@@ -103,9 +103,10 @@ def measure() -> dict:
         fresh[name] = module.run()
         rows = module.format_rows(fresh[name])
         print(format_table(rows, headers=[name, "value"]))
-    for scenario, payload in scenario_bench.run().items():
+    timing: dict = {}
+    for scenario, payload in scenario_bench.run(timing=timing).items():
         fresh[f"scenario_{scenario}"] = payload
-        print(format_scenario_rows(payload))
+        print(format_scenario_rows(payload, timing[scenario]))
     return fresh
 
 

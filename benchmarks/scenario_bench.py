@@ -37,20 +37,30 @@ from repro.scenarios.benchio import (  # noqa: E402
 SEED = 20111206
 
 
-def run(names: Optional[Sequence[str]] = None) -> Dict[str, dict]:
-    """Run the matrix; returns ``{scenario_name: payload}`` in order."""
+def run(
+    names: Optional[Sequence[str]] = None, timing: Optional[dict] = None
+) -> Dict[str, dict]:
+    """Run the matrix; returns ``{scenario_name: payload}`` in order.
+
+    ``timing``, when given, receives ``{scenario_name: {mode: timing}}``
+    (the wall-clock numbers the payloads leave out).
+    """
     results: Dict[str, dict] = {}
     for name in names if names is not None else scenario_names():
         results[name] = bench_scenario(
-            name, seed=SEED, modes=benchkit.SCENARIO_MODES
+            name,
+            seed=SEED,
+            modes=benchkit.SCENARIO_MODES,
+            timing=None if timing is None else timing.setdefault(name, {}),
         )
     return results
 
 
 def main() -> int:  # pragma: no cover - manual invocation
     failures = []
-    for name, payload in run().items():
-        print(format_scenario_rows(payload))
+    timing: dict = {}
+    for name, payload in run(timing=timing).items():
+        print(format_scenario_rows(payload, timing[name]))
         bench = f"scenario_{name}"
         failures += [
             f"{bench}: {f}" for f in benchkit.evaluate(bench, payload)

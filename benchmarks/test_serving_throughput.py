@@ -17,6 +17,7 @@ faster — and writes a machine-readable ``BENCH_serving.json`` summary
 under ``.bench_out/``, gated by ``benchkit.GATES["serving"]``.
 """
 
+import gc
 import os
 import time
 
@@ -35,9 +36,18 @@ ROW_QUERIES = 200
 
 
 def _time(fn) -> float:
-    start = time.perf_counter()
-    fn()
-    return time.perf_counter() - start
+    """Wall time of ``fn()`` with the garbage collector paused, as
+    :mod:`timeit` does: the cached window lasts a few milliseconds, and
+    a full collection of this process's heap (30-40 ms) landing in it
+    would measure the collector, not the cache."""
+    gc.collect()
+    gc.disable()
+    try:
+        start = time.perf_counter()
+        fn()
+        return time.perf_counter() - start
+    finally:
+        gc.enable()
 
 
 def run():

@@ -264,8 +264,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=["threading", "selectors"],
         default="threading",
-        help="gateway transport: thread-per-connection (threading) or "
-        "a single-threaded non-blocking event loop (selectors)",
+        help="gateway transport: persistent acceptor threads with "
+        "HTTP/1.1 keep-alive (threading) or a single-threaded "
+        "non-blocking event loop (selectors)",
     )
     serve.add_argument(
         "--allow-membership",
@@ -808,6 +809,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     )
     if args.cluster > 0:
         modes.append("cluster")
+    timing: dict = {}
     try:
         payload = bench_scenario(
             args.scenario,
@@ -815,11 +817,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             modes=modes,
             cluster_groups=max(args.cluster, 2),
             flash_extras=args.autopilot,
+            timing=timing,
         )
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    print(format_scenario_rows(payload))
+    print(format_scenario_rows(payload, timing))
     output = args.output
     if output is None:
         # not the CWD: at the repo root BENCH_*.json are gate baselines

@@ -13,6 +13,11 @@ shape, and ``compare.py --check`` gates one schema:
 * optionally the flash-crowd realtime autopilot gate
   (:func:`repro.scenarios.flashcrowd.autopilot_flash_crowd`) merged
   under ``"autopilot"``.
+
+A run's wall-clock ``"timing"`` (``run_s``, ``fed_pps``) stays out of
+the document: it changes on every run and no gate reads it, so a
+document that carried it would differ from its baseline each time.
+Callers that want it in their report pass a ``timing`` dict.
 """
 
 from __future__ import annotations
@@ -47,8 +52,12 @@ def bench_scenario(
     modes: Sequence[str] = ("threads", "processes"),
     cluster_groups: int = 2,
     flash_extras: bool = False,
+    timing: Optional[Dict[str, Dict[str, float]]] = None,
 ) -> Dict[str, object]:
-    """Run ``name`` under every requested mode; return the document."""
+    """Run ``name`` under every requested mode; return the document.
+
+    ``timing``, when given, receives each mode's wall-clock section.
+    """
     scenario = get_scenario(name)
     modes = list(dict.fromkeys(modes))  # stable de-dup
     unknown = [m for m in modes if m not in MODE_KEYS]
@@ -79,6 +88,8 @@ def bench_scenario(
             cluster_groups=cluster_groups,
         )
         runs[mode] = run
+        if timing is not None:
+            timing[mode] = run["timing"]
         digests.add(run["schedule"]["digest"])
         payload[mode] = {key: run[key] for key in _RUN_SECTIONS}
     payload["schedule"] = next(iter(runs.values()))["schedule"]
@@ -96,8 +107,11 @@ def bench_scenario(
     return payload
 
 
-def format_scenario_rows(payload: Dict[str, object]) -> str:
-    """Human-readable summary of one scenario document."""
+def format_scenario_rows(
+    payload: Dict[str, object],
+    timing: Optional[Dict[str, Dict[str, float]]] = None,
+) -> str:
+    """Human-readable summary of one scenario document (plus timing)."""
     rows = [
         f"scenario {payload['scenario']}: seed={payload['seed']} "
         f"ticks={payload['ticks']} guard={payload['guard']} "
@@ -123,6 +137,11 @@ def format_scenario_rows(payload: Dict[str, object]) -> str:
             f"torn={invariants['torn_reads']} "
             f"rewinds={invariants['version_rewinds']}"
         )
+        if timing and mode in timing:
+            rows[-1] += (
+                f" run_s={timing[mode]['run_s']:.2f}"
+                f" fed_pps={timing[mode]['fed_pps']:,.0f}"
+            )
     autopilot: Optional[Dict[str, object]] = payload.get("autopilot")
     if autopilot:
         rows.append(

@@ -480,7 +480,8 @@ def run_scenario(
     The payload's ``"counters"`` section is bitwise-reproducible for a
     given ``(scenario, seed)`` — across runs *and* across the thread
     and process planes; ``compare.py --check`` gates exactly that,
-    plus the standing invariants under ``"invariants"``.
+    plus the standing invariants under ``"invariants"``.  Wall-clock
+    numbers (``run_s``, ``fed_pps``) sit apart under ``"timing"``.
     """
     if isinstance(scenario, str):
         scenario = get_scenario(scenario)
@@ -682,6 +683,8 @@ def run_scenario(
                 ingest.get("dropped_backpressure", 0)
             ),
             "final_version": int(last_version),
+        },
+        "timing": {
             "run_s": float(elapsed),
             "fed_pps": float(fed_total / elapsed) if elapsed else 0.0,
         },

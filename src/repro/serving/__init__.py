@@ -66,8 +66,9 @@ demand while fresh measurements keep improving the model:
   (watermark-driven overload shedding on the queue-fill signal);
 * :mod:`repro.serving.gateway` — :class:`ServingGateway`, a
   stdlib-only JSON/HTTP frontend (``repro serve``) with two
-  transports: thread-per-connection ``threading`` and a
-  single-threaded non-blocking ``selectors`` event loop, plus
+  transports: ``threading`` (persistent acceptor threads, HTTP/1.1
+  keep-alive) and a single-threaded non-blocking ``selectors`` event
+  loop, plus
   per-request deadlines and 503 + Retry-After overload answers;
 * :mod:`repro.serving.client` — :class:`ServingClient`, the matching
   :mod:`urllib` client;

@@ -169,8 +169,9 @@ def build_gateway(
         Seconds concurrent single ``GET /predict`` requests wait to
         share one vectorized batch gather; ``None`` disables.
     backend:
-        Gateway transport: ``"threading"`` (thread per connection) or
-        ``"selectors"`` (single-threaded non-blocking event loop).
+        Gateway transport: ``"threading"`` (persistent acceptor
+        threads, keep-alive) or ``"selectors"`` (single-threaded
+        non-blocking event loop).
     allow_membership:
         Enable the live join/leave endpoints
         (:mod:`repro.serving.membership`).  Membership runs on the

@@ -9,13 +9,19 @@ transport-agnostic too: :class:`GatewayCore` maps
 ``(method, path, params, body)`` to ``(status, payload)`` and is
 served by either of two backends:
 
-* ``backend="threading"`` — :mod:`http.server`'s
-  ``ThreadingHTTPServer``: one thread per connection, the
-  battle-tested default;
+* ``backend="threading"`` — the default: a pool of persistent
+  acceptor threads, each serving the connection it accepted with
+  HTTP/1.1 keep-alive; the pool grows by one thread when its last idle
+  acceptor takes a connection, so steady traffic starts no thread per
+  connection;
 * ``backend="selectors"`` — a single-threaded non-blocking event loop
-  on :mod:`selectors`: accept/parse stop burning a thread per
-  connection, which is the scale-out shape for many short-lived
-  connections.
+  on :mod:`selectors`, one response per connection: no thread per
+  connection at all, the shape for many short-lived connections.
+
+Both speak HTTP/1.1 through one codec: the same head parser (request
+line, ``Content-Length``, ``Connection``; 64 KB header and 32 MB body
+caps answered 431/413) and the same response writer, which sends the
+head and body in one write.
 
 Endpoints (all JSON):
 
@@ -68,9 +74,9 @@ import socket
 import sys
 import threading
 import time
+import traceback
 from collections import deque
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
 import numpy as np
@@ -664,69 +670,293 @@ class GatewayCore:
 
 
 # ----------------------------------------------------------------------
-# threading backend (http.server)
+# HTTP/1.1 codec shared by both backends
+# ----------------------------------------------------------------------
+
+#: caps on one request's header block and body
+_MAX_HEADER = 64 * 1024
+_MAX_BODY = 32 * 1024 * 1024
+
+_REASONS = {
+    200: "OK",
+    400: "Bad Request",
+    404: "Not Found",
+    405: "Method Not Allowed",
+    413: "Payload Too Large",
+    431: "Request Header Fields Too Large",
+    500: "Internal Server Error",
+    503: "Service Unavailable",
+}
+
+
+class _HttpError(Exception):
+    """A request refused before routing; answered as JSON, then closed."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
+
+
+class _Head(NamedTuple):
+    """What the transports need from a request head."""
+
+    method: str
+    target: str
+    content_length: int
+    keep_alive: bool
+
+
+def _head_end(buf) -> int:
+    """Where the blank line ending the head starts; -1 if not in yet.
+
+    Raises :class:`_HttpError` (431) once over the cap without one.
+    """
+    end = buf.find(b"\r\n\r\n")
+    if end < 0 and len(buf) > _MAX_HEADER:
+        raise _HttpError(431, "headers too large")
+    return end
+
+
+def _parse_head(block: bytes) -> _Head:
+    """Parse a request line plus headers (without the blank line).
+
+    Raises :class:`_HttpError` for an empty, negative or non-integer
+    ``Content-Length`` (400), a body over the cap (413) or a
+    malformed request line (400).  HTTP/1.1 keeps the connection alive
+    unless the client sends ``Connection: close``; HTTP/1.0 closes.  A
+    ``HEAD`` closes too: its client reads no body, so the JSON body of
+    the 405 answer would desynchronize the stream.
+    """
+    lines = block.split(b"\r\n")
+    length = 0
+    connection = b""
+    for line in lines[1:]:
+        name, _, value = line.partition(b":")
+        name = name.strip().lower()
+        if name == b"content-length":
+            value = value.strip()
+            if not value.isdigit():
+                raise _HttpError(400, "bad Content-Length")
+            length = int(value)
+        elif name == b"connection":
+            connection = value.strip().lower()
+    if length > _MAX_BODY:
+        raise _HttpError(413, "body too large")
+    parts = lines[0].split()
+    if len(parts) < 2:
+        raise _HttpError(400, "malformed request line")
+    keep_alive = (
+        len(parts) > 2
+        and parts[2] == b"HTTP/1.1"
+        and parts[0] != b"HEAD"
+        and b"close" not in connection
+    )
+    return _Head(
+        parts[0].decode("latin-1"),
+        parts[1].decode("latin-1"),
+        length,
+        keep_alive,
+    )
+
+
+def _render(status: int, payload, keep_alive: bool) -> bytes:
+    """One response, status line to body, as a single buffer."""
+    retry = ""
+    if isinstance(payload, str):
+        # a pre-rendered text page (GET /metrics), not JSON
+        body = payload.encode("utf-8")
+        content_type = "text/plain; version=0.0.4; charset=utf-8"
+    else:
+        body = json.dumps(payload).encode("utf-8")
+        content_type = "application/json"
+        retry_after = payload.get("retry_after") if status == 503 else None
+        if retry_after is not None:
+            # RFC 7231 Retry-After in seconds; clients honor it on 503
+            retry = f"Retry-After: {float(retry_after):g}\r\n"
+    head = (
+        f"HTTP/1.1 {status} {_REASONS.get(status, 'OK')}\r\n"
+        f"Content-Type: {content_type}\r\n"
+        f"Content-Length: {len(body)}\r\n"
+        f"{retry}"
+        f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n\r\n"
+    ).encode("latin-1")
+    return head + body
+
+
+def _split_target(target: str) -> Tuple[str, Dict[str, list]]:
+    """``(path, query params)`` of a request target."""
+    url = urlparse(target)
+    return url.path, parse_qs(url.query)
+
+
+def _answer(core: GatewayCore, method: str, path: str, params, body: bytes):
+    """:meth:`GatewayCore.handle`; a handler bug answers 500."""
+    try:
+        return core.handle(method, path, params, body)
+    except Exception as exc:  # pragma: no cover - defensive
+        traceback.print_exc()
+        return 500, {"error": f"internal error: {exc!r}"}
+
+
+# ----------------------------------------------------------------------
+# threading backend (persistent acceptor threads, keep-alive)
 # ----------------------------------------------------------------------
 
 
-class _Handler(BaseHTTPRequestHandler):
-    server: "_ServingHTTPServer"
-    protocol_version = "HTTP/1.1"
+class _ThreadedServer:
+    """HTTP/1.1 with keep-alive on a pool of persistent acceptor threads.
 
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        if self.server.verbose:  # pragma: no cover - debug aid
-            super().log_message(format, *args)
+    Every acceptor blocks in ``accept()`` on the shared listener and
+    serves the connection it took itself, request after request, until
+    the client closes or asks to.  The acceptor that takes the last
+    idle slot starts one more, so concurrency stays unbounded, as with
+    a thread per connection, while steady traffic starts no thread at
+    all.  An acceptor that finishes a connection while ``_SPARE``
+    others wait in ``accept()`` retires.  The thread that calls
+    :meth:`serve_forever` is the first acceptor and never retires.
+    """
 
-    def _send_json(self, payload, status: int = 200) -> None:
-        if isinstance(payload, str):
-            # a pre-rendered text page (GET /metrics), not JSON
-            body = payload.encode("utf-8")
-            content_type = "text/plain; version=0.0.4; charset=utf-8"
-            retry_after = None
-        else:
-            body = json.dumps(payload).encode("utf-8")
-            content_type = "application/json"
-            retry_after = (
-                payload.get("retry_after") if status == 503 else None
-            )
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        if retry_after is not None:
-            # RFC 7231 Retry-After in seconds; clients honor it on 503
-            self.send_header("Retry-After", f"{float(retry_after):g}")
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _dispatch(self, method: str) -> None:
-        url = urlparse(self.path)
-        params = parse_qs(url.query)
-        length = int(self.headers.get("Content-Length", 0) or 0)
-        body = self.rfile.read(length) if length else b""
-        status, payload = self.server.core.handle(
-            method, url.path, params, body
-        )
-        self._send_json(payload, status=status)
-
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        self._dispatch("GET")
-
-    def do_POST(self) -> None:  # noqa: N802 - http.server API
-        self._dispatch("POST")
-
-
-class _ServingHTTPServer(ThreadingHTTPServer):
-    daemon_threads = True
-    allow_reuse_address = True
+    #: idle acceptors kept when a connection ends
+    _SPARE = 4
+    #: accept() timeout: how soon an idle acceptor notices shutdown
+    _POLL_S = 0.1
 
     def __init__(
-        self,
-        address: Tuple[str, int],
-        core: GatewayCore,
-        verbose: bool,
+        self, address: Tuple[str, int], core: GatewayCore, verbose: bool
     ) -> None:
-        super().__init__(address, _Handler)
         self.core = core
         self.verbose = verbose
+        self._listener = socket.create_server(
+            address, family=socket.AF_INET, backlog=128
+        )
+        self._listener.settimeout(self._POLL_S)
+        self.server_address = self._listener.getsockname()
+        self._lock = threading.Lock()
+        self._idle = 0
+        self._threads: set = set()
+        self._conns: set = set()
+        self._shutdown = threading.Event()
+
+    def serve_forever(self) -> None:
+        self._acceptor(permanent=True)
+
+    def shutdown(self) -> None:
+        self._shutdown.set()
+        with self._lock:
+            conns = list(self._conns)
+            threads = list(self._threads)
+        for sock in conns:
+            try:
+                # wakes the acceptor blocked in recv() on it
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+        # the serve thread is its caller's to join
+        for thread in threads:
+            thread.join(timeout=5.0)
+
+    def server_close(self) -> None:
+        self._listener.close()
+
+    # -- the pool ------------------------------------------------------
+
+    def _spawn(self) -> None:
+        thread = threading.Thread(
+            target=self._acceptor, name="repro-gateway-acceptor", daemon=True
+        )
+        with self._lock:
+            # checked under the lock shutdown() snapshots the pool with,
+            # so every started acceptor is one shutdown() joins
+            if self._shutdown.is_set():
+                return
+            self._threads.add(thread)
+        thread.start()
+
+    def _next_connection(self) -> Optional[socket.socket]:
+        """Block in ``accept()``; None once shutting down."""
+        while not self._shutdown.is_set():
+            try:
+                return self._listener.accept()[0]
+            except socket.timeout:
+                continue
+            except OSError:
+                # out of descriptors, or the listener is closed: back off
+                self._shutdown.wait(self._POLL_S)
+        return None
+
+    def _acceptor(self, permanent: bool = False) -> None:
+        try:
+            while True:
+                with self._lock:
+                    self._idle += 1
+                sock = self._next_connection()
+                with self._lock:
+                    self._idle -= 1
+                    if sock is not None and self._shutdown.is_set():
+                        sock.close()  # taken after shutdown() snapshot
+                        sock = None
+                    if sock is None:
+                        return
+                    self._conns.add(sock)
+                    grow = self._idle == 0
+                if grow:
+                    self._spawn()
+                try:
+                    self._serve(sock)
+                finally:
+                    with self._lock:
+                        self._conns.discard(sock)
+                        retire = not permanent and self._idle >= self._SPARE
+                    sock.close()
+                if retire:
+                    return
+        finally:
+            with self._lock:
+                self._threads.discard(threading.current_thread())
+
+    # -- one connection ------------------------------------------------
+
+    def _serve(self, sock: socket.socket) -> None:
+        """Answer requests on one connection until either side closes."""
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        buf = bytearray()
+        try:
+            while True:
+                try:
+                    end = _head_end(buf)
+                    while end < 0:
+                        chunk = sock.recv(65536)
+                        if not chunk:
+                            return
+                        buf += chunk
+                        end = _head_end(buf)
+                    head = _parse_head(bytes(buf[:end]))
+                except _HttpError as exc:
+                    sock.sendall(_render(exc.status, {"error": str(exc)}, False))
+                    return
+                start = end + 4
+                stop = start + head.content_length
+                while len(buf) < stop:
+                    chunk = sock.recv(65536)
+                    if not chunk:
+                        return
+                    buf += chunk
+                body = bytes(buf[start:stop])
+                del buf[:stop]
+                path, params = _split_target(head.target)
+                status, payload = _answer(
+                    self.core, head.method, path, params, body
+                )
+                if self.verbose:  # pragma: no cover - debug aid
+                    print(
+                        f"[threading] {head.method} {head.target} -> {status}",
+                        file=sys.stderr,
+                    )
+                sock.sendall(_render(status, payload, head.keep_alive))
+                if not head.keep_alive:
+                    return
+        except OSError:
+            return
 
 
 # ----------------------------------------------------------------------
@@ -737,23 +967,22 @@ class _ServingHTTPServer(ThreadingHTTPServer):
 class _Connection:
     """Parse state of one non-blocking client connection."""
 
-    __slots__ = ("sock", "inbuf", "outbuf", "content_length", "header_end")
+    __slots__ = ("sock", "inbuf", "outbuf", "head", "header_end")
 
     def __init__(self, sock: socket.socket) -> None:
         self.sock = sock
         self.inbuf = b""
         self.outbuf = b""
-        self.content_length: Optional[int] = None
-        self.header_end: Optional[int] = None
+        self.head: Optional[_Head] = None
+        self.header_end = 0
 
 
 class _SelectorsServer:
     """Minimal HTTP/1.1 server on a :mod:`selectors` event loop.
 
     One thread runs accept + read + parse + dispatch + write for every
-    connection — no thread-per-connection cost, which is where
-    ``ThreadingHTTPServer`` tops out under many short-lived
-    connections.  Handlers (NumPy gathers) run inline: they are
+    connection — no thread per connection at all, the shape for many
+    short-lived connections.  Handlers (NumPy gathers) run inline: they are
     microseconds-scale, far below the socket round-trip they answer.
     Responses close the connection (``Connection: close``) to keep the
     state machine small; clients like :mod:`urllib` handle this
@@ -767,9 +996,6 @@ class _SelectorsServer:
     — the event loop never sleeps out a coalescing window inside a
     handler.
     """
-
-    _MAX_HEADER = 64 * 1024
-    _MAX_BODY = 32 * 1024 * 1024
 
     #: selector key marking the wake pipe's read end
     _WAKE = "wake"
@@ -903,57 +1129,29 @@ class _SelectorsServer:
             self._close(conn)
             return
         conn.inbuf += chunk
-        if conn.header_end is None:
-            end = conn.inbuf.find(b"\r\n\r\n")
-            if end < 0:
-                if len(conn.inbuf) > self._MAX_HEADER:
-                    self._respond(conn, 431, {"error": "headers too large"})
+        if conn.head is None:
+            try:
+                end = _head_end(conn.inbuf)
+                if end < 0:
+                    return
+                conn.head = _parse_head(conn.inbuf[:end])
+            except _HttpError as exc:
+                self._respond(conn, exc.status, {"error": str(exc)})
                 return
             conn.header_end = end + 4
-            conn.content_length = self._parse_content_length(
-                conn.inbuf[:end]
-            )
-            if conn.content_length is None:
-                self._respond(conn, 400, {"error": "bad Content-Length"})
-                return
-            if conn.content_length > self._MAX_BODY:
-                self._respond(conn, 413, {"error": "body too large"})
-                return
-        if conn.header_end is not None:
-            have = len(conn.inbuf) - conn.header_end
-            if have >= (conn.content_length or 0):
-                self._dispatch(conn)
-
-    @staticmethod
-    def _parse_content_length(header_block: bytes) -> Optional[int]:
-        length = 0
-        for line in header_block.split(b"\r\n")[1:]:
-            name, _, value = line.partition(b":")
-            if name.strip().lower() == b"content-length":
-                try:
-                    length = int(value.strip())
-                except ValueError:
-                    return None
-                if length < 0:
-                    return None
-        return length
+        if len(conn.inbuf) - conn.header_end >= conn.head.content_length:
+            self._dispatch(conn)
 
     def _dispatch(self, conn: _Connection) -> None:
-        request_line = conn.inbuf.split(b"\r\n", 1)[0]
-        parts = request_line.split()
-        if len(parts) < 2:
-            self._respond(conn, 400, {"error": "malformed request line"})
-            return
-        method = parts[0].decode("latin-1")
-        target = parts[1].decode("latin-1")
-        body_start = conn.header_end or 0
-        body = conn.inbuf[body_start : body_start + (conn.content_length or 0)]
-        url = urlparse(target)
-        params = parse_qs(url.query)
+        method, target = conn.head.method, conn.head.target
+        body = conn.inbuf[
+            conn.header_end : conn.header_end + conn.head.content_length
+        ]
+        path, params = _split_target(target)
         try:
             deferred = self.core.try_submit_coalesced(
                 method,
-                url.path,
+                path,
                 params,
                 lambda status, payload, conn=conn: self._complete_later(
                     conn, status, payload
@@ -977,53 +1175,15 @@ class _SelectorsServer:
                     file=sys.stderr,
                 )
             return
-        try:
-            status, payload = self.core.handle(method, url.path, params, body)
-        except Exception as exc:  # pragma: no cover - defensive
-            status, payload = 500, {"error": f"internal error: {exc!r}"}
+        status, payload = _answer(self.core, method, path, params, body)
         if self.verbose:  # pragma: no cover - debug aid
             print(
                 f"[selectors] {method} {target} -> {status}", file=sys.stderr
             )
         self._respond(conn, status, payload)
 
-    _REASONS = {
-        200: "OK",
-        400: "Bad Request",
-        404: "Not Found",
-        405: "Method Not Allowed",
-        413: "Payload Too Large",
-        431: "Request Header Fields Too Large",
-        500: "Internal Server Error",
-        503: "Service Unavailable",
-    }
-
     def _respond(self, conn: _Connection, status: int, payload) -> None:
-        if isinstance(payload, str):
-            # a pre-rendered text page (GET /metrics), not JSON
-            body = payload.encode("utf-8")
-            content_type = "text/plain; version=0.0.4; charset=utf-8"
-            retry_after = None
-        else:
-            body = json.dumps(payload).encode("utf-8")
-            content_type = "application/json"
-            retry_after = (
-                payload.get("retry_after") if status == 503 else None
-            )
-        reason = self._REASONS.get(status, "OK")
-        retry_line = (
-            f"Retry-After: {float(retry_after):g}\r\n"
-            if retry_after is not None
-            else ""
-        )
-        head = (
-            f"HTTP/1.1 {status} {reason}\r\n"
-            f"Content-Type: {content_type}\r\n"
-            f"Content-Length: {len(body)}\r\n"
-            f"{retry_line}"
-            "Connection: close\r\n\r\n"
-        ).encode("latin-1")
-        conn.outbuf = head + body
+        conn.outbuf = _render(status, payload, keep_alive=False)
         try:
             self._selector.modify(conn.sock, selectors.EVENT_WRITE, conn)
         except KeyError:
@@ -1069,8 +1229,8 @@ class ServingGateway:
         Bind address; ``port=0`` lets the OS pick a free port (read it
         back from :attr:`port` / :attr:`url`).
     backend:
-        ``"threading"`` (thread per connection) or ``"selectors"``
-        (single-threaded non-blocking event loop).
+        ``"threading"`` (persistent acceptor threads, keep-alive) or
+        ``"selectors"`` (single-threaded non-blocking event loop).
     coalesce_window:
         Seconds concurrent single ``GET /predict`` requests wait to
         share one batch gather; ``None`` disables coalescing.  On the
@@ -1190,7 +1350,7 @@ class ServingGateway:
         if backend == "selectors":
             self._server = _SelectorsServer((host, port), self.core, verbose)
         else:
-            self._server = _ServingHTTPServer((host, port), self.core, verbose)
+            self._server = _ThreadedServer((host, port), self.core, verbose)
         self._thread: Optional[threading.Thread] = None
         self._activated = False
 

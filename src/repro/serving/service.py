@@ -66,14 +66,22 @@ def _classify_scores(estimates: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(estimates), labels, np.nan)
 
 
-def _json_floats(values: np.ndarray) -> list:
-    """Finite floats, NaN -> None (bare NaN is not valid JSON)."""
-    return [float(v) if np.isfinite(v) else None for v in values]
+def _json_indices(indices: np.ndarray) -> list:
+    """Node ids as Python ints."""
+    return np.asarray(indices, dtype=np.int64).tolist()
 
 
-def _json_labels(labels: np.ndarray) -> list:
-    """Finite labels as ints, NaN -> None."""
-    return [int(l) if np.isfinite(l) else None for l in labels]
+def _json_estimates(estimates: np.ndarray):
+    """``(estimates, labels)`` lists, labels as in :func:`classify_score`.
+
+    Non-finite slots become None in both (bare NaN is not valid JSON).
+    """
+    estimates = np.asarray(estimates, dtype=np.float64)
+    values = estimates.tolist()
+    labels = np.where(estimates < 0, -1, 1).tolist()
+    for i in np.flatnonzero(~np.isfinite(estimates)).tolist():
+        values[i] = labels[i] = None
+    return values, labels
 
 
 @dataclass(frozen=True)
@@ -119,11 +127,12 @@ class RowPrediction:
 
     def as_dict(self) -> Dict[str, object]:
         """JSON-ready representation (NaN estimates become None)."""
+        estimates, labels = _json_estimates(self.estimates)
         return {
             "source": self.source,
-            "targets": [int(t) for t in self.targets],
-            "estimates": _json_floats(self.estimates),
-            "labels": _json_labels(self.labels()),
+            "targets": _json_indices(self.targets),
+            "estimates": estimates,
+            "labels": labels,
             "version": self.version,
         }
 
@@ -143,11 +152,12 @@ class BatchPrediction:
 
     def as_dict(self) -> Dict[str, object]:
         """JSON-ready representation (NaN estimates become None)."""
+        estimates, labels = _json_estimates(self.estimates)
         return {
-            "sources": [int(s) for s in self.sources],
-            "targets": [int(t) for t in self.targets],
-            "estimates": _json_floats(self.estimates),
-            "labels": _json_labels(self.labels()),
+            "sources": _json_indices(self.sources),
+            "targets": _json_indices(self.targets),
+            "estimates": estimates,
+            "labels": labels,
             "version": self.version,
         }
 

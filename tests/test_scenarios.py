@@ -16,6 +16,8 @@ Three concerns:
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.scenarios import (
@@ -323,6 +325,35 @@ class TestRunDeterminism:
         assert invariants["availability"] >= 0.999
         assert invariants["torn_reads"] == 0
         assert invariants["version_rewinds"] == 0
+
+
+def _keys(node) -> set:
+    """Every dict key anywhere inside a JSON document."""
+    if isinstance(node, dict):
+        return set(node).union(*(_keys(v) for v in node.values()))
+    if isinstance(node, list):
+        return set().union(*(_keys(v) for v in node))
+    return set()
+
+
+class TestBenchDocument:
+    def test_wall_clock_is_reported_not_written(self, tmp_path, capsys):
+        """The written document is reproducible: no wall-clock fields,
+        which would make every bless rewrite the baselines; the report
+        still prints them."""
+        from repro.cli import main
+
+        output = tmp_path / "BENCH_scenario_churn_storm.json"
+        code = main(
+            ["bench", "--scenario", "churn_storm", "--workers", "threads",
+             "--output", str(output)]
+        )
+        assert code == 0
+        keys = _keys(json.loads(output.read_text()))
+        assert "counters" in keys
+        assert not keys & {"run_s", "fed_pps", "timing"}
+        report = capsys.readouterr().out
+        assert "run_s=" in report and "fed_pps=" in report
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,12 @@
 """End-to-end tests: in-process HTTP gateway + client (repro.serving)."""
 
+import http.client
 import json
+import socket
+import statistics
+import sys
+import threading
+import time
 from urllib.request import urlopen
 
 import numpy as np
@@ -577,3 +583,245 @@ class TestShardedGateway:
         with pytest.raises(GatewayError) as excinfo:
             client.shards()
         assert excinfo.value.status == 400
+
+
+# ----------------------------------------------------------------------
+# the HTTP/1.1 transports: one codec, persistent acceptors, keep-alive
+# ----------------------------------------------------------------------
+
+
+def _exchange(address, raw: bytes) -> bytes:
+    """Send raw bytes on a fresh connection; everything until EOF."""
+    with socket.create_connection(address, timeout=5.0) as sock:
+        sock.sendall(raw)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
+
+
+def _replies(raw: bytes):
+    """``[(status, body), ...]`` of back-to-back HTTP responses."""
+    replies = []
+    while raw:
+        head, _, rest = raw.partition(b"\r\n\r\n")
+        length = 0
+        for line in head.split(b"\r\n")[1:]:
+            name, _, value = line.partition(b":")
+            if name.strip().lower() == b"content-length":
+                length = int(value)
+        replies.append((int(head[9:12]), rest[:length]))
+        raw = rest[length:]
+    return replies
+
+
+def _transport_threads(exclude=()):
+    return [
+        t
+        for t in threading.enumerate()
+        if t.name in ("repro-serving-gateway", "repro-gateway-acceptor")
+        and t not in exclude
+    ]
+
+
+@pytest.fixture(scope="module")
+def tiny_stack():
+    return _small_stack(n=20)
+
+
+@pytest.fixture(params=["threading", "selectors"])
+def any_gateway(request, tiny_stack):
+    _, service, ingest = tiny_stack
+    with ServingGateway(service, ingest, port=0, backend=request.param) as gw:
+        yield gw
+
+
+@pytest.fixture
+def threaded_gateway(tiny_stack):
+    _, service, ingest = tiny_stack
+    with ServingGateway(service, ingest, port=0) as gw:
+        yield gw
+
+
+_HUGE_HEADER = b"X-Pad: " + b"a" * (70 * 1024) + b"\r\n"
+
+
+class TestMalformedRequests:
+    """Both backends refuse bad requests with the same JSON answer."""
+
+    @pytest.mark.parametrize(
+        "raw, status, error",
+        [
+            (
+                b"POST /ingest HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
+                400,
+                "bad Content-Length",
+            ),
+            (
+                b"POST /ingest HTTP/1.1\r\nContent-Length: 1.5\r\n\r\n",
+                400,
+                "bad Content-Length",
+            ),
+            (
+                b"POST /ingest HTTP/1.1\r\nContent-Length: 40000000\r\n\r\n",
+                413,
+                "body too large",
+            ),
+            (b"GET /health HTTP/1.1\r\n" + _HUGE_HEADER, 431, "headers too large"),
+            (b"BOGUS\r\n\r\n", 400, "malformed request line"),
+            (
+                b"PUT /ingest HTTP/1.1\r\nConnection: close\r\n\r\n",
+                405,
+                "method PUT not allowed",
+            ),
+            (
+                b"DELETE /health HTTP/1.1\r\nConnection: close\r\n\r\n",
+                405,
+                "method DELETE not allowed",
+            ),
+            (b"HEAD /health HTTP/1.1\r\n\r\n", 405, "method HEAD not allowed"),
+        ],
+        ids=[
+            "negative-length",
+            "non-integer-length",
+            "body-cap",
+            "header-cap",
+            "request-line",
+            "put",
+            "delete",
+            "head",
+        ],
+    )
+    def test_answered_with_json(self, any_gateway, raw, status, error):
+        reply = _exchange((any_gateway.host, any_gateway.port), raw)
+        [(got, body)] = _replies(reply)
+        assert got == status
+        assert json.loads(body) == {"error": error}
+
+
+class TestThreadedTransport:
+    def test_keepalive_round_trips_are_fast(self, threaded_gateway):
+        conn = http.client.HTTPConnection(
+            threaded_gateway.host, threaded_gateway.port, timeout=5.0
+        )
+        try:
+            conn.request("GET", "/health")
+            conn.getresponse().read()
+            sock = conn.sock
+            rtts = []
+            for _ in range(10):
+                started = time.perf_counter()
+                conn.request("GET", "/health")
+                response = conn.getresponse()
+                response.read()
+                rtts.append(time.perf_counter() - started)
+                assert response.status == 200
+                assert response.getheader("Connection") == "keep-alive"
+            assert conn.sock is sock  # one connection served all of them
+        finally:
+            conn.close()
+        assert statistics.median(rtts) < 0.010
+
+    def test_pipelined_requests_answered_in_order(self, threaded_gateway):
+        raw = _exchange(
+            (threaded_gateway.host, threaded_gateway.port),
+            b"GET /predict?src=1&dst=2 HTTP/1.1\r\nHost: x\r\n\r\n"
+            b"GET /predict?src=3&dst=4 HTTP/1.1\r\nHost: x\r\n"
+            b"Connection: close\r\n\r\n",
+        )
+        first, second = _replies(raw)
+        assert first[0] == second[0] == 200
+        assert json.loads(first[1])["source"] == 1
+        assert json.loads(second[1])["source"] == 3
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            b"GET /health HTTP/1.1\r\nConnection: close\r\n\r\n",
+            b"GET /health HTTP/1.0\r\n\r\n",
+        ],
+        ids=["connection-close", "http-1.0"],
+    )
+    def test_close_requests_end_the_connection(self, threaded_gateway, raw):
+        # _exchange reads until EOF: it returns only if the server closed
+        [(status, body)] = _replies(
+            _exchange((threaded_gateway.host, threaded_gateway.port), raw)
+        )
+        assert status == 200
+        assert json.loads(body)["status"] == "ok"
+
+    def test_idle_connections_do_not_starve_a_new_one(self, threaded_gateway):
+        address = (threaded_gateway.host, threaded_gateway.port)
+        idle = [http.client.HTTPConnection(*address, timeout=5.0) for _ in range(8)]
+        try:
+            for conn in idle:  # each now pins one acceptor in recv()
+                conn.request("GET", "/health")
+                conn.getresponse().read()
+            [(status, _)] = _replies(
+                _exchange(
+                    address,
+                    b"GET /version HTTP/1.1\r\nConnection: close\r\n\r\n",
+                )
+            )
+            assert status == 200
+        finally:
+            for conn in idle:
+                conn.close()
+
+    def test_pool_bookkeeping_survives_a_burst(self, threaded_gateway):
+        """More clients than cores under a tiny switch interval: every
+        request is answered, and once every connection is gone each
+        live acceptor counts as idle (a lost update breaks that)."""
+        address = (threaded_gateway.host, threaded_gateway.port)
+        statuses, errors = [], []
+
+        def client():
+            try:
+                for _ in range(10):
+                    raw = _exchange(
+                        address,
+                        b"GET /version HTTP/1.1\r\nConnection: close\r\n\r\n",
+                    )
+                    statuses.extend(status for status, _ in _replies(raw))
+            except OSError as exc:
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            clients = [threading.Thread(target=client) for _ in range(12)]
+            for t in clients:
+                t.start()
+            for t in clients:
+                t.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in clients)
+        assert errors == []
+        assert statuses == [200] * 120
+        server = threaded_gateway._server
+        deadline = time.monotonic() + 5.0
+        while time.monotonic() < deadline:
+            with server._lock:
+                # +1: the serve thread, which is not in the spawned set
+                settled = server._idle == len(server._threads) + 1
+            if settled and not server._conns:
+                break
+            time.sleep(0.01)
+        assert settled and not server._conns
+
+    def test_stop_ends_every_transport_thread(self, tiny_stack):
+        _, service, ingest = tiny_stack
+        others = _transport_threads()  # of the module's other gateways
+        gateway = ServingGateway(service, ingest, port=0).start()
+        address = (gateway.host, gateway.port)
+        held = http.client.HTTPConnection(*address, timeout=5.0)
+        held.request("GET", "/health")
+        held.getresponse().read()
+        assert len(_transport_threads(others)) == 2  # serve thread + spare
+        gateway.stop()
+        held.close()
+        assert _transport_threads(others) == []
+        socket.create_server(address).close()  # the port is free again

@@ -1,10 +1,19 @@
 """Tests for the cached prediction service (repro.serving.service)."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.core.coordinates import CoordinateTable
-from repro.serving.service import PredictionService
+from repro.serving.service import (
+    BatchPrediction,
+    PredictionService,
+    RowPrediction,
+)
 from repro.serving.store import CoordinateStore
 
 
@@ -202,3 +211,79 @@ class TestVectorizedPaths:
         assert stats.pair_queries == 1
         assert stats.row_queries == 1
         assert stats.matrix_queries == 1
+
+
+# ----------------------------------------------------------------------
+# reply bytes: the vectorized encoding equals the per-element rules
+# ----------------------------------------------------------------------
+
+
+def _reference_floats(values):
+    return [float(v) if np.isfinite(v) else None for v in values]
+
+
+def _reference_labels(estimates):
+    labels = np.where(estimates < 0, -1.0, 1.0)
+    labels = np.where(np.isfinite(estimates), labels, np.nan)
+    return [int(l) if np.isfinite(l) else None for l in labels]
+
+
+#: the edge values every reply encoder must carry through unchanged
+_EDGES = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1e300, -1e300, 1e-300, -1e-300]
+
+_ESTIMATES = st.integers(0, 24).flatmap(
+    lambda k: hnp.arrays(
+        np.float64,
+        k,
+        elements=st.one_of(
+            st.sampled_from(_EDGES), st.floats(allow_nan=True, allow_infinity=True)
+        ),
+    )
+)
+
+
+@st.composite
+def _indexed(draw):
+    estimates = draw(_ESTIMATES)
+    dtype = draw(st.sampled_from([np.int32, np.int64]))
+    index = hnp.arrays(dtype, estimates.size, elements=st.integers(0, 2**31 - 1))
+    return draw(index), draw(index), estimates
+
+
+class TestReplyBytes:
+    @given(_indexed(), st.integers(0, 2**40))
+    @settings(max_examples=200, deadline=None)
+    def test_batch_reply_bytes(self, arrays, version):
+        sources, targets, estimates = arrays
+        reply = BatchPrediction(sources, targets, estimates, version).as_dict()
+        reference = {
+            "sources": [int(s) for s in sources],
+            "targets": [int(t) for t in targets],
+            "estimates": _reference_floats(estimates),
+            "labels": _reference_labels(estimates),
+            "version": version,
+        }
+        assert json.dumps(reply) == json.dumps(reference)
+
+    @given(_indexed(), st.integers(0, 10**6), st.integers(0, 2**40))
+    @settings(max_examples=200, deadline=None)
+    def test_row_reply_bytes(self, arrays, source, version):
+        _, targets, estimates = arrays
+        reply = RowPrediction(source, targets, estimates, version).as_dict()
+        reference = {
+            "source": source,
+            "targets": [int(t) for t in targets],
+            "estimates": _reference_floats(estimates),
+            "labels": _reference_labels(estimates),
+            "version": version,
+        }
+        assert json.dumps(reply) == json.dumps(reference)
+
+    def test_every_edge_value_at_once(self):
+        estimates = np.array(_EDGES)
+        index = np.arange(estimates.size, dtype=np.int32)
+        reply = BatchPrediction(index, index, estimates, 3).as_dict()
+        assert json.dumps(reply["estimates"]) == (
+            "[null, null, null, -0.0, 0.0, 1e+300, -1e+300, 1e-300, -1e-300]"
+        )
+        assert reply["labels"] == [None, None, None, 1, 1, 1, -1, 1, -1]
