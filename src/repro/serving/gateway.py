@@ -107,6 +107,26 @@ def _get_int(params: Dict[str, list], name: str) -> int:
         raise _BadRequest(f"parameter {name!r} must be an integer, got {raw!r}")
 
 
+def _rows(entries: list, width: int, message: str) -> np.ndarray:
+    """A non-empty JSON list of ``width``-long number lists as an array.
+
+    A well-formed body costs one ``np.asarray`` and a shape check.  Only
+    a body that fails them walks its entries, so the per-entry checks
+    name the error, in the same order and words as ever, and the final
+    conversion raises exactly what converting the entries always raised.
+    """
+    try:
+        array = np.asarray(entries, dtype=float)
+        if array.shape == (len(entries), width):
+            return array
+    except Exception:
+        pass  # the slow path below reports it
+    for entry in entries:
+        if not isinstance(entry, (list, tuple)) or len(entry) != width:
+            raise _BadRequest(message)
+    return np.asarray(entries, dtype=float)
+
+
 def _request_class(method: str, path: str) -> Optional[str]:
     """Shed class of a request: ``ingest`` | ``batch`` | ``None``.
 
@@ -490,11 +510,8 @@ class GatewayCore:
             pairs = payload.get("pairs")
             if not isinstance(pairs, list):
                 raise _BadRequest('body must contain a "pairs" list')
-            for entry in pairs:
-                if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-                    raise _BadRequest("each pair must be [source, target]")
             if pairs:
-                array = np.asarray(pairs, dtype=float)
+                array = _rows(pairs, 2, "each pair must be [source, target]")
                 if not np.all(
                     np.isfinite(array) & (array == np.floor(array))
                 ):
@@ -513,37 +530,36 @@ class GatewayCore:
             measurements = payload.get("measurements")
             if not isinstance(measurements, list):
                 raise _BadRequest('body must contain a "measurements" list')
-            triples = []
-            for entry in measurements:
+            message = "each measurement must be [source, target, value]"
+            count = len(measurements)
+            if count == 1:
+                # the scalar fast path: single-measurement posts skip
+                # the array round-trip entirely
+                entry = measurements[0]
                 if not isinstance(entry, (list, tuple)) or len(entry) != 3:
-                    raise _BadRequest(
-                        "each measurement must be [source, target, value]"
-                    )
-                triples.append(entry)
+                    raise _BadRequest(message)
+            elif count:
+                array = _rows(measurements, 3, message)
             tracer = tracing.tracer
-            if tracer is not None and triples:
+            if tracer is not None and count:
                 # mint the request's span and park it in thread-local
                 # context; the routed plane stamps admit and threads
                 # the id through the shard queues from there
                 accept_us = tracing.now_us()
                 span_id = tracer.begin(
-                    route="/ingest",
-                    samples=len(triples),
-                    accept_us=accept_us,
+                    route="/ingest", samples=count, accept_us=accept_us
                 )
                 tracing.set_context(span_id, accept_us)
             try:
-                if len(triples) == 1:
-                    # the scalar fast path: single-measurement posts
-                    # skip the array round-trip entirely (None -> NaN,
-                    # matching np.asarray's coercion on the batch path)
+                if count == 1:
+                    # None -> NaN, matching np.asarray's coercion on the
+                    # batch path
                     src, dst, value = (
-                        float("nan") if entry is None else float(entry)
-                        for entry in triples[0]
+                        float("nan") if item is None else float(item)
+                        for item in entry
                     )
                     kept = int(ingest.submit(src, dst, value))
-                elif triples:
-                    array = np.asarray(triples, dtype=float)
+                elif count:
                     kept = ingest.submit_many(
                         array[:, 0], array[:, 1], array[:, 2]
                     )
@@ -554,7 +570,7 @@ class GatewayCore:
                     tracing.clear_context()
             return 200, {
                 "accepted": kept,
-                "received": len(triples),
+                "received": count,
                 "buffered": ingest.buffered,
                 "version": ingest.store.version,
             }

@@ -174,6 +174,11 @@ TRACE_ENTRIES = 8
 #: harvester, so a torn entry is skipped rather than misread
 TRACE_FIELDS = 7
 
+#: the worker loop's ``commands.get`` timeout: an idle worker ticks its
+#: HEARTBEAT slot (and rescores its evaluator window) this often, and a
+#: busy one rescores its window at most this often
+HEARTBEAT_S = 0.25
+
 #: slots [COUNTERS_FROM:] are carried over verbatim into a new epoch's
 #: segments, so restarts and epoch swaps never rewind a counter
 COUNTERS_FROM = 8
@@ -492,7 +497,10 @@ class _ShardWorker:
                 ADAPTIVE_UPDATES,
             )
         }
+        # batch count and clock at the last window rescore (AUC or
+        # rel-err quantiles): see _sync_counters
         self._eval_batches = -1
+        self._eval_at = float("-inf")
         # spans applied but not yet published: flushed into the trace
         # ring by publish_own (lives only in this worker; a crash loses
         # at most the unpublished spans, like the unpublished steps)
@@ -608,7 +616,7 @@ class _ShardWorker:
             H_QUEUE_SUM_US,
             max(0, dequeue_us - admit_us),
         )
-        pubs_before = self.pipeline.stats().publishes
+        version_before = self.own_segment.slot(VERSION)
         try:
             self.pipeline.submit_valid(sources, targets, values)
         finally:
@@ -628,7 +636,7 @@ class _ShardWorker:
                     done_us,
                     int(values.size),
                 )
-                if self.pipeline.stats().publishes > pubs_before:
+                if self.own_segment.slot(VERSION) != version_before:
                     # this chunk triggered its own publish: publish_own
                     # already flushed earlier pendings, so ring-commit
                     # the entry directly with the post-apply stamp
@@ -638,8 +646,15 @@ class _ShardWorker:
 
     # -- stats sync ----------------------------------------------------
 
-    def _sync_counters(self) -> None:
-        """Copy pipeline/guard/evaluator state into the header slots."""
+    def _sync_counters(self, *, lazy: bool = False) -> None:
+        """Copy pipeline/guard/evaluator state into the header slots.
+
+        Counts are exact on every call.  The window metric (AUC or
+        rel-err quantiles) is a rescore of the whole evaluator window,
+        so it is recomputed only when batches moved since the last
+        rescore, and a ``lazy`` call (the per-chunk one) also waits
+        until :data:`HEARTBEAT_S` has passed since then.
+        """
         header = self.own_segment.header
         bases = self._bases
         stats = self.pipeline.stats()
@@ -679,15 +694,17 @@ class _ShardWorker:
                 int(adaptive.sigma * 1e6) if adaptive.sigma is not None else -1
             )
         evaluator = self.pipeline.evaluator
-        if evaluator is not None and stats.batches != self._eval_batches:
-            # quantile/AUC recomputation is bounded by the window size;
-            # refreshed once per batch boundary, not per chunk
+        if evaluator is None:
+            return
+        observed = evaluator.observed
+        header[EVAL_SAMPLES] = min(observed, evaluator.window)
+        header[EVAL_OBSERVED] = bases[EVAL_OBSERVED] + observed
+        if stats.batches != self._eval_batches and (
+            not lazy or time.monotonic() - self._eval_at >= HEARTBEAT_S
+        ):
             self._eval_batches = stats.batches
+            self._eval_at = time.monotonic()
             payload = evaluator.evaluate()
-            header[EVAL_SAMPLES] = int(payload["samples"])
-            header[EVAL_OBSERVED] = bases[EVAL_OBSERVED] + int(
-                payload["observed"]
-            )
             if evaluator.mode == "class":
                 auc = payload.get("auc")
                 header[EVAL_AUC_E6] = -1 if auc is None else int(auc * 1e6)
@@ -713,9 +730,10 @@ class _ShardWorker:
             # that swap would write into an unmapped old segment
             header = self.own_segment.header
             try:
-                item = commands.get(timeout=0.25)
+                item = commands.get(timeout=HEARTBEAT_S)
             except stdlib_queue.Empty:
                 header[HEARTBEAT] += 1
+                self._sync_counters()  # idle: bring the metric up to date
                 continue
             header[HEARTBEAT] += 1
             kind = item[0]
@@ -730,7 +748,7 @@ class _ShardWorker:
                         self.pipeline.submit_valid(sources, targets, values)
                 finally:
                     header[CONSUMED] += int(values.size)
-                    self._sync_counters()
+                    self._sync_counters(lazy=True)
             elif kind == "flush":
                 self.pipeline.flush()
                 self._ack(item[1])

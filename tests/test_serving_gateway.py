@@ -11,6 +11,8 @@ from urllib.request import urlopen
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import DMFSGDConfig
 from repro.core.engine import DMFSGDEngine, matrix_label_fn
@@ -22,6 +24,7 @@ from repro.serving import (
     ServingClient,
     ServingGateway,
 )
+from repro.serving.gateway import GatewayCore, _BadRequest
 from repro.serving.plane import SHARDS_ALIAS_TOMBSTONE
 from repro.serving.store import CoordinateStore
 
@@ -233,6 +236,7 @@ class TestErrorHandling:
         )
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urlopen(request, timeout=5)
+        excinfo.value.close()  # the error holds the response's socket
         assert excinfo.value.code == 400
 
 
@@ -643,6 +647,128 @@ def threaded_gateway(tiny_stack):
     _, service, ingest = tiny_stack
     with ServingGateway(service, ingest, port=0) as gw:
         yield gw
+
+
+def _legacy_post(core, path, body):
+    """``/estimate/batch`` and ``/ingest`` as they validated entry by entry.
+
+    The reference for :class:`TestBodyValidation`: the gateway now checks
+    a body with one ``np.asarray`` and a shape test, and must answer every
+    body exactly as this per-entry loop did.
+    """
+    if path == "/estimate/batch":
+        payload = core._read_body(body)
+        pairs = payload.get("pairs")
+        if not isinstance(pairs, list):
+            raise _BadRequest('body must contain a "pairs" list')
+        for entry in pairs:
+            if not isinstance(entry, (list, tuple)) or len(entry) != 2:
+                raise _BadRequest("each pair must be [source, target]")
+        if pairs:
+            array = np.asarray(pairs, dtype=float)
+            if not np.all(np.isfinite(array) & (array == np.floor(array))):
+                raise _BadRequest("pair indices must be integers")
+            sources = array[:, 0].astype(int)
+            targets = array[:, 1].astype(int)
+        else:
+            sources = np.array([], dtype=int)
+            targets = np.array([], dtype=int)
+        return 200, core.service.predict_pairs(sources, targets).as_dict()
+    ingest = core.ingest
+    payload = core._read_body(body)
+    measurements = payload.get("measurements")
+    if not isinstance(measurements, list):
+        raise _BadRequest('body must contain a "measurements" list')
+    triples = []
+    for entry in measurements:
+        if not isinstance(entry, (list, tuple)) or len(entry) != 3:
+            raise _BadRequest("each measurement must be [source, target, value]")
+        triples.append(entry)
+    if len(triples) == 1:
+        src, dst, value = (
+            float("nan") if entry is None else float(entry)
+            for entry in triples[0]
+        )
+        kept = int(ingest.submit(src, dst, value))
+    elif triples:
+        array = np.asarray(triples, dtype=float)
+        kept = ingest.submit_many(array[:, 0], array[:, 1], array[:, 2])
+    else:
+        kept = 0
+    return 200, {
+        "accepted": kept,
+        "received": len(triples),
+        "buffered": ingest.buffered,
+        "version": ingest.store.version,
+    }
+
+
+def _reply(core, path, body):
+    """What the transports would send: status and JSON bytes (or the raise)."""
+    try:
+        status, payload = core.handle("POST", path, {}, body)
+    except Exception as exc:  # handle() maps only client errors to 400
+        return "raised", type(exc).__name__, str(exc)
+    return status, json.dumps(payload).encode("utf-8")
+
+
+#: what may stand where a number belongs in a malformed body
+_ODD_VALUES = st.one_of(
+    st.sampled_from(
+        [None, True, False, "3", "x", "", 2.5, 10**400, [], [1], [1, 2], {"a": 1}]
+    ),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-2, 22),  # node ids, a few out of range
+)
+
+
+@st.composite
+def _defect(draw, width):
+    """One malformed entry for a body of ``width``-long rows."""
+    kind = draw(st.sampled_from(["arity", "not-a-list", "bad-value"]))
+    if kind == "arity":  # ragged, too long, or the empty list
+        size = draw(st.integers(0, 5).filter(lambda size: size != width))
+        return draw(st.lists(st.integers(0, 19), min_size=size, max_size=size))
+    if kind == "not-a-list":
+        return draw(_ODD_VALUES.filter(lambda value: not isinstance(value, list)))
+    row = draw(st.lists(st.integers(0, 19), min_size=width, max_size=width))
+    row[draw(st.integers(0, width - 1))] = draw(_ODD_VALUES)
+    return row
+
+
+@st.composite
+def _bodies(draw):
+    """A route and a body: well-formed rows with malformed entries mixed in."""
+    path, key, width = draw(
+        st.sampled_from(
+            [("/estimate/batch", "pairs", 2), ("/ingest", "measurements", 3)]
+        )
+    )
+    row = st.lists(st.integers(0, 19), min_size=width, max_size=width)
+    entries = draw(st.lists(row, max_size=4))
+    for defect in draw(st.lists(_defect(width), max_size=3)):
+        entries.insert(draw(st.integers(0, len(entries))), defect)
+    if draw(st.integers(0, 9)) == 0:  # the list itself is missing
+        entries = draw(_ODD_VALUES)
+    return path, json.dumps({key: entries}).encode("utf-8")
+
+
+class TestBodyValidation:
+    """Malformed batch and ingest bodies get the per-entry loop's answer."""
+
+    @pytest.fixture(scope="class")
+    def cores(self):
+        # two identical stacks, so accepted ingest keeps them in step
+        legacy = GatewayCore(*_small_stack(n=20)[1:])
+        legacy._post = lambda path, body: _legacy_post(legacy, path, body)
+        return legacy, GatewayCore(*_small_stack(n=20)[1:])
+
+    @given(_bodies())
+    @settings(max_examples=500, deadline=None)
+    def test_replies_match_the_per_entry_validator(self, cores, request_body):
+        path, body = request_body
+        legacy, core = cores
+        assert _reply(core, path, body) == _reply(legacy, path, body)
 
 
 _HUGE_HEADER = b"X-Pad: " + b"a" * (70 * 1024) + b"\r\n"

@@ -27,6 +27,7 @@ budget.
 """
 
 import os
+import queue
 import signal
 import threading
 import time
@@ -39,12 +40,18 @@ from repro.core.engine import DMFSGDEngine, EngineSpec, null_label_fn
 from repro.serving.guard import AdmissionGuard, PairTokenBucketRateLimiter
 from repro.serving.ingest import IngestPipeline
 from repro.serving.membership import MembershipManager
+from repro.serving import procs
 from repro.serving.procs import (
+    EVAL_AUC_E6,
+    EVAL_OBSERVED,
+    EVAL_SAMPLES,
+    HEARTBEAT_S,
     FactorSegment,
     ProcessShardedIngest,
     ProcessShardedStore,
     WorkerSpec,
     WorkerSupervisor,
+    _ShardWorker,
 )
 from repro.serving.service import PredictionService
 from repro.serving.shard import ShardedCoordinateStore
@@ -325,6 +332,148 @@ class TestProcessIngest:
             assert payload["rel_err_p50"] is not None
         finally:
             ingest.close()
+
+
+class _Clock:
+    """``procs.time`` for the test: a hand-stepped ``monotonic``."""
+
+    def __init__(self) -> None:
+        self.now = 1000.0
+
+    def monotonic(self) -> float:
+        return self.now
+
+    def __getattr__(self, name):
+        return getattr(time, name)
+
+
+class _ScriptedCommands:
+    """The worker's command queue: a fixed script, observed between items.
+
+    ``run()`` needs only ``get(timeout=...)`` and :class:`queue.Empty`;
+    an ``IDLE`` entry raises the latter, as a heartbeat timeout on an
+    empty queue does.  Before handing out each item, ``get`` records
+    the header slots the previous item left behind.
+    """
+
+    IDLE = None
+
+    def __init__(self, worker, script, step_s=0.0) -> None:
+        self.worker = worker
+        self.script = list(script)
+        self.step_s = step_s
+        self.seen = []
+
+    def get(self, timeout):
+        assert timeout == HEARTBEAT_S
+        worker = self.worker
+        header = worker.own_segment.header
+        evaluator = worker.pipeline.evaluator
+        self.seen.append(
+            {
+                "observed": int(header[EVAL_OBSERVED]),
+                "samples": int(header[EVAL_SAMPLES]),
+                "auc_e6": int(header[EVAL_AUC_E6]),
+                "true_observed": evaluator.observed,
+                "true_samples": len(evaluator.window_arrays()[1]),
+                "evaluations": worker.evaluations,
+                "now": worker.clock.now,
+            }
+        )
+        worker.clock.now += self.step_s
+        item = self.script.pop(0)
+        if item is self.IDLE:
+            raise queue.Empty
+        return item
+
+
+class TestWorkerEvalRefresh:
+    """A worker rescores its evaluator window per heartbeat, not per chunk."""
+
+    @pytest.fixture
+    def worker(self, monkeypatch):
+        clock = _Clock()
+        monkeypatch.setattr(procs, "time", clock)
+        engine = make_engine(24)
+        store = ProcessShardedStore.create(engine.coordinates, shards=1)
+        spec = WorkerSpec(
+            engine=EngineSpec.from_engine(engine, seed=3),
+            batch_size=16,
+            refresh_interval=64,
+            eval_mode="class",
+            eval_window=200,
+        )
+        worker = _ShardWorker(spec, 0, store.segment_names)
+        worker.clock = clock
+        worker.evaluations = 0
+        evaluate = worker.pipeline.evaluator.evaluate
+
+        def counted():
+            worker.evaluations += 1
+            return evaluate()
+
+        worker.pipeline.evaluator.evaluate = counted
+        worker.exact_evaluate = evaluate
+        try:
+            yield worker
+        finally:
+            worker.close_segments()
+            store.destroy()
+
+    @staticmethod
+    def chunks(rng, count, size=16):
+        items = []
+        for _ in range(count):
+            src, dst, vals = random_stream(rng, 24, size)
+            items.append(("chunk", src.astype(int), dst.astype(int), vals))
+        return items
+
+    def test_chunks_within_one_heartbeat_rescore_a_bounded_number_of_times(
+        self, rng, worker
+    ):
+        script = self.chunks(rng, 50) + [("flush", 7), ("stop",)]
+        commands = _ScriptedCommands(worker, script)
+        worker.run(commands)
+        after_chunks = commands.seen[1:51]
+        # one rescore for the first batch, then none until the ack
+        assert after_chunks[-1]["evaluations"] == 1
+        for seen in after_chunks:  # counts stay exact on every chunk
+            assert seen["observed"] == seen["true_observed"] > 0
+            assert seen["samples"] == seen["true_samples"]
+        after_flush = commands.seen[51]
+        assert after_flush["evaluations"] == 2
+        auc = worker.exact_evaluate()["auc"]
+        assert auc is not None
+        assert after_flush["auc_e6"] == int(auc * 1e6)
+
+    def test_busy_worker_rescores_once_per_heartbeat(self, rng, worker):
+        step_s = 0.1
+        script = self.chunks(rng, 50) + [("stop",)]
+        commands = _ScriptedCommands(worker, script, step_s=step_s)
+        worker.run(commands)
+        seen = commands.seen
+        rescored_at = [
+            now["now"]
+            for before, now in zip(seen, seen[1:])
+            if now["evaluations"] > before["evaluations"]
+        ]
+        # at most once per heartbeat, and never more than one chunk
+        # later than that: the metric lags the counts by < one beat
+        assert len(rescored_at) > 1
+        for earlier, later in zip(rescored_at, rescored_at[1:]):
+            assert HEARTBEAT_S <= later - earlier < HEARTBEAT_S + step_s
+        assert seen[-1]["now"] - rescored_at[-1] < HEARTBEAT_S + step_s
+
+    def test_idle_tick_brings_the_metric_up_to_date(self, rng, worker):
+        idle = _ScriptedCommands.IDLE
+        script = self.chunks(rng, 20) + [idle, idle, ("stop",)]
+        commands = _ScriptedCommands(worker, script)
+        worker.run(commands)
+        stale, fresh, still = commands.seen[20:23]
+        assert stale["evaluations"] == 1
+        assert fresh["evaluations"] == still["evaluations"] == 2
+        auc = worker.exact_evaluate()["auc"]
+        assert fresh["auc_e6"] == int(auc * 1e6) != stale["auc_e6"]
 
 
 # ----------------------------------------------------------------------
